@@ -80,10 +80,12 @@ def _unbroadcast(g, shape):
 
 
 class _Op:
-    def __init__(self, name, forward, vjp):
-        self.name = name
+    __slots__ = ("forward", "vjp", "check")
+
+    def __init__(self, forward, vjp, check=None):
         self.forward = forward  # (arrays, params, dtype) -> array
         self.vjp = vjp          # (arrays, params, out, g) -> per-input grads
+        self.check = check      # (arrays, params) -> None; raises on bad operands
 
 
 def _fwd_add(a, p, dt):
@@ -141,6 +143,12 @@ def _fwd_take_flat(a, p, dt):
 
 def _fwd_take_axis(a, p, dt):
     return np.take(a[0], p["idx"], axis=p["axis"])
+
+
+def _fwd_lerp(a, p, dt):
+    out = np.multiply(a[0], dt(p["wa"]))
+    out += np.multiply(a[1], dt(p["wb"]))
+    return out
 
 
 def _fwd_mean_axes(a, p, dt):
@@ -233,6 +241,10 @@ def _vjp_take_axis(a, p, out, g):
     return (dx,)
 
 
+def _vjp_lerp(a, p, out, g):
+    return g * p["wa"], g * p["wb"]
+
+
 def _vjp_mean_axes(a, p, out, g):
     x = a[0]
     axes = p["axes"]
@@ -261,24 +273,78 @@ def _vjp_clip01(a, p, out, g):
     return (g * ((x > 0.0) & (x < 1.0)),)
 
 
+def _check_broadcast(name):
+    def check(arrays, params):
+        try:
+            np.broadcast_shapes(arrays[0].shape, arrays[1].shape)
+        except ValueError:
+            raise _shape_error(name, arrays[0].shape, arrays[1].shape) from None
+    return check
+
+
+def _check_matmul(arrays, params):
+    a, b = arrays
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise _shape_error("matmul", a.shape, b.shape)
+
+
+def _check_conv2d(arrays, params):
+    x, w = arrays
+    if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[0] != w.shape[1]:
+        raise _shape_error("conv2d", x.shape, w.shape)
+    s = params["stride"]
+    if s not in (1, 2):
+        raise ValueError(f"conv2d: stride must be 1 or 2, got {s}")
+    if x.shape[1] % s or x.shape[2] % s:
+        raise _shape_error("conv2d(stride)", x.shape, w.shape)
+
+
+def _check_reshape(arrays, params):
+    if int(np.prod(params["shape"])) != arrays[0].size:
+        raise _shape_error("reshape", arrays[0].shape, params["shape"])
+
+
+def _check_transpose2d(arrays, params):
+    if arrays[0].ndim != 2:
+        raise _shape_error("transpose2d", arrays[0].shape)
+
+
+def _check_take_flat(arrays, params):
+    idx = params["idx"]
+    if idx.size and (idx.min() < 0 or idx.max() >= arrays[0].size):
+        raise IndexError("take_flat: index out of range")
+
+
+def _check_take_axis(arrays, params):
+    idx, n = params["idx"], arrays[0].shape[params["axis"]]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"take_axis: index out of range [0, {n})")
+
+
+def _check_lerp(arrays, params):
+    if arrays[0].shape != arrays[1].shape:
+        raise _shape_error("lerp", arrays[0].shape, arrays[1].shape)
+
+
 _OPS = {
-    "add": _Op("add", _fwd_add, _vjp_add),
-    "sub": _Op("sub", _fwd_sub, _vjp_sub),
-    "mul": _Op("mul", _fwd_mul, _vjp_mul),
-    "neg": _Op("neg", _fwd_neg, _vjp_neg),
-    "matmul": _Op("matmul", _fwd_matmul, _vjp_matmul),
-    "conv2d": _Op("conv2d", _fwd_conv2d, _vjp_conv2d),
-    "silu": _Op("silu", _fwd_silu, _vjp_silu),
-    "softmax_last": _Op("softmax_last", _fwd_softmax_last, _vjp_softmax_last),
-    "reshape": _Op("reshape", _fwd_reshape, _vjp_reshape),
-    "transpose2d": _Op("transpose2d", _fwd_transpose2d, _vjp_transpose2d),
-    "take_flat": _Op("take_flat", _fwd_take_flat, _vjp_take_flat),
-    "take_axis": _Op("take_axis", _fwd_take_axis, _vjp_take_axis),
-    "mean_axes": _Op("mean_axes", _fwd_mean_axes, _vjp_mean_axes),
-    "sum_all": _Op("sum_all", _fwd_sum_all, _vjp_sum_all),
-    "mean_all": _Op("mean_all", _fwd_mean_all, _vjp_mean_all),
-    "rsqrt_eps": _Op("rsqrt_eps", _fwd_rsqrt_eps, _vjp_rsqrt_eps),
-    "clip01": _Op("clip01", _fwd_clip01, _vjp_clip01),
+    "add": _Op(_fwd_add, _vjp_add, _check_broadcast("add")),
+    "sub": _Op(_fwd_sub, _vjp_sub, _check_broadcast("sub")),
+    "mul": _Op(_fwd_mul, _vjp_mul, _check_broadcast("mul")),
+    "neg": _Op(_fwd_neg, _vjp_neg),
+    "matmul": _Op(_fwd_matmul, _vjp_matmul, _check_matmul),
+    "conv2d": _Op(_fwd_conv2d, _vjp_conv2d, _check_conv2d),
+    "silu": _Op(_fwd_silu, _vjp_silu),
+    "softmax_last": _Op(_fwd_softmax_last, _vjp_softmax_last),
+    "reshape": _Op(_fwd_reshape, _vjp_reshape, _check_reshape),
+    "transpose2d": _Op(_fwd_transpose2d, _vjp_transpose2d, _check_transpose2d),
+    "take_flat": _Op(_fwd_take_flat, _vjp_take_flat, _check_take_flat),
+    "take_axis": _Op(_fwd_take_axis, _vjp_take_axis, _check_take_axis),
+    "lerp": _Op(_fwd_lerp, _vjp_lerp, _check_lerp),
+    "mean_axes": _Op(_fwd_mean_axes, _vjp_mean_axes),
+    "sum_all": _Op(_fwd_sum_all, _vjp_sum_all),
+    "mean_all": _Op(_fwd_mean_all, _vjp_mean_all),
+    "rsqrt_eps": _Op(_fwd_rsqrt_eps, _vjp_rsqrt_eps),
+    "clip01": _Op(_fwd_clip01, _vjp_clip01),
 }
 
 
@@ -356,7 +422,6 @@ class GradTape:
     def __init__(self):
         self.values = []
         self.records = []
-        self._n_base = 0  # nodes created as leaves/constants
 
     def leaf(self, data) -> Tensor:
         """Register a trainable input; grad() can differentiate w.r.t. it."""
@@ -411,7 +476,8 @@ def _apply(op_name, inputs, **params):
                 raise ValueError("operands come from different tapes")
             tape = t.tape
     arrays = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=F32) for t in inputs]
-    _validate(op_name, arrays, params)
+    if op.check is not None:
+        op.check(arrays, params)
     out = op.forward(arrays, params, F32)
     if tape is None:
         return Tensor(out)
@@ -419,41 +485,6 @@ def _apply(op_name, inputs, **params):
     out_id = tape._new_node(out)
     tape.records.append(_Record(op_name, ids, params, out_id))
     return Tensor(out, tape, out_id)
-
-
-def _validate(op_name, arrays, params):
-    if op_name in ("add", "sub", "mul"):
-        try:
-            np.broadcast_shapes(arrays[0].shape, arrays[1].shape)
-        except ValueError:
-            raise _shape_error(op_name, arrays[0].shape, arrays[1].shape) from None
-    elif op_name == "matmul":
-        a, b = arrays
-        if a.ndim != 2 or b.ndim != 2:
-            raise _shape_error("matmul", a.shape, b.shape)
-        if a.shape[1] != b.shape[0]:
-            raise _shape_error("matmul", a.shape, b.shape)
-    elif op_name == "conv2d":
-        x, w = arrays
-        if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3):
-            raise _shape_error("conv2d", x.shape, w.shape)
-        if x.shape[0] != w.shape[1]:
-            raise _shape_error("conv2d", x.shape, w.shape)
-        s = params["stride"]
-        if s not in (1, 2):
-            raise ValueError(f"conv2d: stride must be 1 or 2, got {s}")
-        if x.shape[1] % s or x.shape[2] % s:
-            raise _shape_error("conv2d(stride)", x.shape, w.shape)
-    elif op_name == "reshape":
-        if int(np.prod(params["shape"])) != arrays[0].size:
-            raise _shape_error("reshape", arrays[0].shape, params["shape"])
-    elif op_name == "transpose2d":
-        if arrays[0].ndim != 2:
-            raise _shape_error("transpose2d", arrays[0].shape)
-    elif op_name == "take_flat":
-        idx = params["idx"]
-        if idx.size and (idx.min() < 0 or idx.max() >= arrays[0].size):
-            raise IndexError("take_flat: index out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +560,19 @@ def clip01(x):
     return _apply("clip01", (x,))
 
 
-def scalar(v):
-    return Tensor(np.asarray(v, dtype=F32))
-
-
 def lerp(a, b, alpha):
-    """(1-alpha)*a + alpha*b with a fixed evaluation order.
+    """(1-alpha)*a + alpha*b as one op with a fixed evaluation order.
 
-    Shared by prompt interpolation and the KV cache so both paths produce
-    bit-identical values; exact at alpha 0 and 1.
+    a and b must have equal shapes; there is no broadcasting. The forward
+    computes out = a*(1-alpha), then out += b*alpha, with both weights
+    rounded to float32 first, so its bytes equal those of
+    add(mul(a, 1-alpha), mul(b, alpha)); it allocates the result and one
+    temporary. Exact at alpha 0 and 1. The weights are op params, so a tape
+    replays it at float64 too. Prompt interpolation uses it, and a KV
+    cache over projected keyframes would too, so both give the same bits.
     """
     al = F32(alpha)
-    return add(mul(a, F32(1.0) - al), mul(b, al))
+    return _apply("lerp", (a, b), wa=float(F32(1.0) - al), wb=float(al))
 
 
 def group_norm(x, gamma, beta, groups=4, eps=1e-5):
@@ -610,14 +642,6 @@ def upsample_nearest(x, factor, axes=(0, 1)):
     for ax in axes:
         n = out.shape[ax]
         out = take_axis(out, np.repeat(np.arange(n), factor), ax)
-    return out
-
-
-def downsample_nearest(x, step, axes=(0, 1)):
-    """Keep every step-th sample along the given axes."""
-    out = x
-    for ax in axes:
-        out = take_axis(out, np.arange(0, out.shape[ax], step), ax)
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -28,17 +29,34 @@ class LowRankPrompt:
 
     Factors may be float32, or the exact float64 levels that dequantize
     returns; compose rounds them to float32 once, so both give the same bytes.
+    `matrix` caches compose(self) on first use. U and V are stored as
+    read-only copies of the arrays passed in, so the cache cannot go stale
+    when the caller changes those arrays.
     """
 
     U: np.ndarray  # (77, r) float32 or float64
     V: np.ndarray  # (r, d) float32 or float64
 
     def __post_init__(self):
-        u, v = np.asarray(self.U), np.asarray(self.V)
+        u, v = np.array(self.U), np.array(self.V)
         if u.ndim != 2 or v.ndim != 2 or u.shape[0] != TOKENS or u.shape[1] != v.shape[0]:
             raise nm.ShapeMismatchError(f"LowRankPrompt: U {u.shape} vs V {v.shape}")
+        u.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "U", u)
+        object.__setattr__(self, "V", v)
         if self.rank > min(TOKENS, self.d):
             raise ValueError(f"rank {self.rank} exceeds min(77, d={self.d})")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """compose(self), computed on first use and kept read-only.
+
+        Adjacent groups share a keyframe object, so each keyframe is
+        composed once however many frames and groups read it.
+        """
+        m = compose(self)
+        m.flags.writeable = False
+        return m
 
     @property
     def rank(self) -> int:
@@ -65,11 +83,6 @@ def compose(p: LowRankPrompt):
     return nm.matmul(p.U, p.V).data
 
 
-def compose_tracked(u: nm.Tensor, v: nm.Tensor) -> nm.Tensor:
-    """Tape-tracked compose for the trainer; identical arithmetic."""
-    return nm.matmul(u, v)
-
-
 @dataclass(frozen=True)
 class PromptGroup:
     """A run of stitched frames spanned by two keyframe prompts.
@@ -91,13 +104,8 @@ class PromptGroup:
                 f"{self.keyframe_b.U.shape}x{self.keyframe_b.V.shape}")
         if self.group_len < 2:
             raise ValueError(f"group_len must be >= 2, got {self.group_len}")
-        alphas = self.alphas
-        if alphas is None:
-            alphas = uniform_alphas(self.group_len)
-            object.__setattr__(self, "alphas", alphas)
-        else:
-            alphas = tuple(float(a) for a in alphas)
-            object.__setattr__(self, "alphas", alphas)
+        alphas = uniform_alphas(self.group_len) if self.alphas is None else tuple(float(a) for a in self.alphas)
+        object.__setattr__(self, "alphas", alphas)
         if len(self.alphas) != self.group_len:
             raise ValueError(f"{len(self.alphas)} alphas for group_len {self.group_len}")
         if self.alphas[0] != 0.0 or self.alphas[-1] != 1.0:
@@ -111,12 +119,16 @@ def uniform_alphas(n):
 
 
 def interpolate(group: PromptGroup, i: int):
-    """Prompt matrix for frame i: (1-a_i)*compose(kf_a) + a_i*compose(kf_b)."""
+    """Prompt matrix for frame i: (1-a_i)*compose(kf_a) + a_i*compose(kf_b).
+
+    One nm.lerp of the keyframes' cached matrices, so the bytes are float32
+    a*(1-a_i) + b*a_i with a = compose(kf_a) and b = compose(kf_b). The
+    returned frame is a new, writable array that shares no memory with
+    the cache.
+    """
     if not 0 <= i < group.group_len:
         raise IndexError(f"frame index {i} outside group of length {group.group_len}")
-    a = compose(group.keyframe_a)
-    b = compose(group.keyframe_b)
-    return nm.lerp(nm.Tensor(a), nm.Tensor(b), group.alphas[i]).data
+    return nm.lerp(group.keyframe_a.matrix, group.keyframe_b.matrix, group.alphas[i]).data
 
 
 @dataclass(frozen=True)
@@ -133,7 +145,9 @@ def quantize(m, q=DEFAULT_Q) -> QuantizedMatrix:
     """Round-to-nearest-even uniform quantizer, scale = 2*max|m|/(2^q - 1).
 
     Every entry of the float32-cast matrix lies within scale/2 of its
-    dequantized level. q must lie in [1, MAX_Q].
+    dequantized level. q must lie in [1, MAX_Q], and the float32 scale must
+    be finite and positive: a ValueError names a matrix whose max|m| makes
+    it round to 0 or overflow.
     """
     _check_q(q)
     m = np.asarray(m, dtype=np.float32)
@@ -146,7 +160,10 @@ def quantize(m, q=DEFAULT_Q) -> QuantizedMatrix:
         mid = 1 << (q - 1)
         codes = np.full(m.shape, mid, dtype=np.uint32)
         return QuantizedMatrix(q, 0.0, codes.reshape(-1), m.shape)
-    scale = np.float32(2.0 * amax / levels)
+    with np.errstate(over="ignore"):
+        scale = np.float32(2.0 * amax / levels)
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"quantize: max|m| = {amax:g} gives scale {scale} at q={q}; it must be finite and positive")
     u = m.astype(np.float64) / float(scale) + half
     codes = np.rint(u)  # rint rounds half to even
     codes = np.clip(codes, 0, levels).astype(np.uint32)

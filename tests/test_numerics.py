@@ -97,6 +97,7 @@ PRIMITIVE_CASES = [
     ("mul_broadcast", lambda a, b: nm.mul(a, b), [(4, 2, 3), (4, 1, 1)]),
     ("neg", lambda a: -a, [(3, 3)]),
     ("matmul", lambda a, b: nm.matmul(a, b), [(4, 6), (6, 3)]),
+    ("lerp", lambda a, b: nm.lerp(a, b, 0.3), [(3, 4), (3, 4)]),
     ("conv2d_s1", lambda x, w: nm.conv2d(x, w, stride=1), [(3, 6, 6), (4, 3, 3, 3)]),
     ("conv2d_s2", lambda x, w: nm.conv2d(x, w, stride=2), [(3, 6, 6), (4, 3, 3, 3)]),
     ("silu", lambda a: nm.silu(a), [(5, 5)]),
@@ -175,6 +176,46 @@ class TestTapeReplay:
         assert np.array_equal(o1, o2)
         x, w = randf(4, 16, 16), randf(8, 4, 3, 3)
         assert np.array_equal(nm.conv2d(x, w).data, nm.conv2d(x, w).data)
+
+
+class TestLerp:
+    @pytest.mark.parametrize("alpha", [0.0, 1 / 29, 0.3, 0.5, 28 / 29, 1.0])
+    def test_bytes_equal_float32_mul_mul_add(self, alpha):
+        a, b = randf(77, 64), randf(77, 64)
+        al = np.float32(alpha)
+        want = a * (np.float32(1.0) - al) + b * al
+        out = nm.lerp(a, b, alpha).data
+        assert out.dtype == np.float32
+        assert out.tobytes() == want.tobytes()
+
+    def test_float64_replay_uses_the_same_weights(self):
+        tape = GradTape()
+        a, b = tape.leaf(randf(5, 6)), tape.leaf(randf(5, 6))
+        out = nm.lerp(a, b, 0.3)
+        assert tape.replay()[out.node].tobytes() == out.data.tobytes()
+        al = np.float32(0.3)
+        wa, wb = np.float64(np.float32(1.0) - al), np.float64(al)
+        want = a.data.astype(np.float64) * wa + b.data.astype(np.float64) * wb
+        got = tape.replay(dtype=np.float64)[out.node]
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (4, 3)), ((3, 4), (1, 4)), ((3, 4), (3, 4, 1))])
+    def test_unequal_shapes_rejected(self, shapes):
+        with pytest.raises(ShapeMismatchError, match="lerp"):
+            nm.lerp(randf(*shapes[0]), randf(*shapes[1]), 0.5)
+
+
+class TestGather:
+    @pytest.mark.parametrize("idx", [[-1], [0, -3], [3]])
+    def test_take_axis_rejects_index_out_of_range(self, idx):
+        with pytest.raises(IndexError, match="take_axis"):
+            nm.take_axis(randf(2, 3), idx, 1)
+
+    @pytest.mark.parametrize("idx", [[-1], [12]])
+    def test_take_flat_rejects_index_out_of_range(self, idx):
+        with pytest.raises(IndexError, match="take_flat"):
+            nm.take_flat(randf(3, 4), idx, (1,))
 
 
 class TestResampling:

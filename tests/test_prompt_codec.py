@@ -1,5 +1,6 @@
 """Prompt codec tests: compose/interpolate oracles, quantizer bounds, bitrates."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,52 @@ class TestInterpolate:
             pc.PromptGroup(rand_prompt(rank=4), rand_prompt(rank=8), 5)
 
 
+class TestKeyframeCache:
+    def test_compose_runs_once_per_keyframe(self, monkeypatch):
+        calls = []
+        real = pc.compose
+        monkeypatch.setattr(pc, "compose", lambda p: calls.append(p) or real(p))
+        kfs = [rand_prompt() for _ in range(3)]
+        for g in (pc.PromptGroup(kfs[0], kfs[1], 5), pc.PromptGroup(kfs[1], kfs[2], 5)):
+            for i in range(5):
+                pc.interpolate(g, i)
+        assert [id(p) for p in calls] == [id(p) for p in kfs]
+
+    @pytest.mark.parametrize("alphas", [None, (0.0, 0.1, 1 / 3, 0.9, 1.0)])
+    def test_frames_are_float32_lerp_of_composed_keyframes(self, alphas):
+        g = pc.PromptGroup(rand_prompt(rank=16, d=128), rand_prompt(rank=16, d=128), 5, alphas=alphas)
+        a, b = pc.compose(g.keyframe_a), pc.compose(g.keyframe_b)
+        for i, alpha in enumerate(g.alphas):
+            al = np.float32(alpha)
+            want = a * (np.float32(1.0) - al) + b * al
+            assert pc.interpolate(g, i).tobytes() == want.tobytes()
+
+    def test_cache_is_read_only_and_frames_are_fresh(self):
+        g = pc.PromptGroup(rand_prompt(), rand_prompt(), 5)
+        kf = g.keyframe_a
+        first = pc.interpolate(g, 0)
+        for arr in (kf.matrix, kf.U, kf.V):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            kf.matrix[0, 0] = 1.0
+        for i in range(5):
+            frame = pc.interpolate(g, i)
+            assert frame.flags.writeable
+            assert not np.shares_memory(frame, g.keyframe_a.matrix)
+            assert not np.shares_memory(frame, g.keyframe_b.matrix)
+            frame[:] = 0.0
+        assert np.array_equal(pc.interpolate(g, 0), first)
+
+    def test_caller_mutating_factors_leaves_frames_unchanged(self):
+        u, v = rand_prompt().U.copy(), rand_prompt().V.copy()
+        want = pc.compose(pc.LowRankPrompt(u.copy(), v.copy()))
+        g = pc.PromptGroup(pc.LowRankPrompt(u, v), rand_prompt(), 3)
+        u[:] = 0.0  # before the keyframe is first composed
+        assert pc.interpolate(g, 0).tobytes() == want.tobytes()
+        v *= 2.0  # after
+        assert pc.interpolate(g, 0).tobytes() == want.tobytes()
+
+
 class TestQuantizer:
     def test_zeros_roundtrip(self):
         qm = pc.quantize(np.zeros((5, 4), np.float32))
@@ -120,6 +167,14 @@ class TestQuantizer:
     def test_quantize_rejects_width_out_of_range(self, q):
         with pytest.raises(ValueError, match="q must lie"):
             pc.quantize(np.array([[-1.0, 0.0, 1.0]], np.float32), q=q)
+
+    @pytest.mark.parametrize("m,q", [([[1e-45, 0.0, -1e-45]], 12), ([[3e38, -1.0, 0.0]], 1)],
+                             ids=["scale_rounds_to_zero", "scale_overflows"])
+    def test_quantize_rejects_scale_not_finite_and_positive(self, m, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and positive"):
+                pc.quantize(np.array(m, np.float32), q=q)
 
     def test_dequantize_rejects_code_above_width(self):
         qm = pc.quantize(np.array([[-1.0, 0.0, 1.0]], np.float32), q=4)
