@@ -7,12 +7,31 @@ order (matmul and conv accumulate strictly left-to-right over the
 contraction axis), so two runs over the same inputs produce identical
 bytes.  grad() walks the tape in reverse to return dLoss/dLeaf.
 
+The strict-order product has two implementations that give the same
+bytes.  At float32 it runs a small C kernel (_strict_mm.c), compiled with
+gcc at first import and loaded through ctypes; at float64 (tape replay
+for the finite-difference oracles), and wherever the kernel cannot be
+built, it runs a numpy loop over k.  STRICT_MATMUL names the float32 one
+in use, "c" or "numpy".  The kernel is built with -ffp-contract=off, so no
+multiply and add fuse into one rounding, and never with -ffast-math,
+-Ofast, -funsafe-math-optimizations or -fassociative-math: those reorder
+the sum, and a library linked with them can switch on flush-to-zero for
+the whole process.  -march=native ties the object to the host, so it is
+cached per user under tempfile.gettempdir(), keyed by a hash of the
+source and the flags.
+
 Tensors are immutable once produced; a tape is confined to one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -36,8 +55,73 @@ def _shape_error(op, *shapes):
 # which the finite-difference test oracles rely on)
 # ---------------------------------------------------------------------------
 
+STRICT_MM_SOURCE = Path(__file__).with_name("_strict_mm.c")
+STRICT_MM_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _load_strict_mm():
+    """Compile (once per host and source) and load the C kernel; None if that fails."""
+    try:
+        src = STRICT_MM_SOURCE.read_bytes()
+        key = hashlib.sha256(src + " ".join(STRICT_MM_FLAGS).encode()).hexdigest()[:16]
+        cache = Path(tempfile.gettempdir()) / f"promptstream-{os.getuid()}"
+        cache.mkdir(mode=0o700, exist_ok=True)
+        st = cache.stat()
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            return None  # someone else could plant the shared object
+        lib = cache / f"strict_mm-{key}.so"
+        if not lib.exists():
+            # Build under a unique name and rename it into place, so that a
+            # concurrent process never loads a half-written file.
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(["gcc", *STRICT_MM_FLAGS, "-o", tmp, str(STRICT_MM_SOURCE)],
+                               check=True, capture_output=True)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(lib)).strict_mm_f32
+    except (OSError, AttributeError, subprocess.CalledProcessError):
+        return None
+    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 3
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_strict_mm_f32 = _load_strict_mm()
+STRICT_MATMUL = "numpy" if _strict_mm_f32 is None else "c"
+
+
 def _mm(a, b, dtype):
-    """Matrix product with strict left-to-right accumulation over k."""
+    """Matrix product with strict left-to-right accumulation over k.
+
+    Each entry is +0 plus a[i,0]*b[0,j], then plus a[i,1]*b[1,j], and so
+    on to k-1, with every product and every sum rounded to dtype.  The C
+    kernel and _mm_loop follow this order, so they give the same bytes;
+    the C kernel runs at float32 when STRICT_MATMUL is "c".
+    """
+    if dtype != F32 or STRICT_MATMUL != "c":
+        return _mm_loop(a, b, dtype)
+    a = np.ascontiguousarray(a, dtype=F32)
+    b = np.ascontiguousarray(b, dtype=F32)
+    (m, k), n = a.shape, b.shape[1]
+    if b.shape[0] != k:  # the kernel trusts these sizes
+        raise _shape_error("matmul", a.shape, b.shape)
+    out = np.empty((m, n), dtype=F32)
+    if _strict_mm_f32(_address(a), _address(b), _address(out), m, k, n):
+        raise MemoryError(f"strict matmul: no buffer for a {k}x32 panel")
+    return out
+
+
+def _address(x):
+    # Unlike x.ctypes.data, this leaves no cached ctypes objects behind.
+    return x.__array_interface__["data"][0]
+
+
+def _mm_loop(a, b, dtype):
+    """The numpy form of _mm: float64 replay, fallback and test reference."""
     m, k = a.shape
     _, n = b.shape
     out = np.zeros((m, n), dtype=dtype)

@@ -23,7 +23,7 @@ DEFAULT_Q = 12
 MAX_Q = 28
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowRankPrompt:
     """Factored prompt: compose() yields the 77xd matrix U @ V.
 
@@ -31,7 +31,8 @@ class LowRankPrompt:
     returns; compose rounds them to float32 once, so both give the same bytes.
     `matrix` caches compose(self) on first use. U and V are stored as
     read-only copies of the arrays passed in, so the cache cannot go stale
-    when the caller changes those arrays.
+    when the caller changes those arrays. Equality and hashing are by
+    identity, so a keyframe can key a dict.
     """
 
     U: np.ndarray  # (77, r) float32 or float64
@@ -83,12 +84,13 @@ def compose(p: LowRankPrompt):
     return nm.matmul(p.U, p.V).data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PromptGroup:
     """A run of stitched frames spanned by two keyframe prompts.
 
     Keyframes are shared with adjacent groups, so alphas run from exactly
-    0 (keyframe_a) to exactly 1 (keyframe_b).
+    0 (keyframe_a) to exactly 1 (keyframe_b). Equality and hashing are by
+    identity, as for LowRankPrompt.
     """
 
     keyframe_a: LowRankPrompt
@@ -195,11 +197,15 @@ def _check_q(q):
 def bitrate_estimate(d, rank, q, keyframes_per_second):
     """Prompt payload rate in bits/s: (77 + d) * rank * q * kf_rate.
 
-    Container overhead is excluded (the bitstream module reports it).
-    Exact when the keyframe rate is an int or Fraction.
+    Container overhead is excluded. Exact when the keyframe rate is an int
+    or Fraction. q must lie in [1, MAX_Q] and rank in [0, min(77, d)], the
+    widths and ranks the codec itself accepts.
     """
-    if d <= 0 or rank < 0 or q <= 0:
-        raise ValueError("d, q must be positive and rank non-negative")
+    if d <= 0:
+        raise ValueError(f"d must be positive, got {d}")
+    _check_q(q)
+    if not 0 <= rank <= min(TOKENS, d):
+        raise ValueError(f"rank must lie in [0, min(77, d={d})], got {rank}")
     bits_per_keyframe = (TOKENS + d) * rank * q
     rate = bits_per_keyframe * keyframes_per_second
     if isinstance(rate, Fraction) and rate.denominator == 1:

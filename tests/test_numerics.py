@@ -11,8 +11,8 @@ from helpers import check_grad, rel_err
 RNG = np.random.default_rng(20260810)
 
 
-def randf(*shape, lo=-1.0, hi=1.0):
-    return RNG.uniform(lo, hi, size=shape).astype(np.float32)
+def randf(*shape, lo=-1.0, hi=1.0, rng=RNG):
+    return rng.uniform(lo, hi, size=shape).astype(np.float32)
 
 
 class TestMatmul:
@@ -42,6 +42,127 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeMismatchError, match=r"\(5, 4\).*\(3, 2\)"):
             nm.matmul(randf(5, 4), randf(3, 2))
+
+
+# The kernel tests draw from their own generator, so that adding or removing
+# one leaves the inputs of the tests that draw from RNG unchanged.
+KRNG = np.random.default_rng(20261018)
+
+
+def krandf(*shape, lo=-1.0, hi=1.0):
+    return randf(*shape, lo=lo, hi=hi, rng=KRNG)
+
+
+def loop_product(a, b):
+    """The numpy strict-order loop that the C kernel must match byte for byte."""
+    return nm._mm_loop(np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32), np.float32)
+
+
+def assert_same_bytes(a, b):
+    want = loop_product(a, b)
+    got = nm.matmul(a, b).data
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# (m, k, n): tile multiples (4 rows by 32 columns), every row remainder, column
+# remainders on both sides of a panel, m = 1, n = 1, k = 1, and k >= 64 random
+# sums, which fused multiply-adds would change.
+KERNEL_SHAPES = [
+    (4, 16, 32), (8, 64, 64), (5, 7, 33), (6, 9, 31), (7, 3, 63), (9, 65, 95),
+    (1, 100, 1), (1, 1, 1), (3, 1, 40), (1, 70, 130), (130, 1, 1), (13, 200, 17),
+    (77, 128, 40), (512, 40, 77), (77, 8, 256),  # render and codec shapes, scaled down
+]
+
+
+class TestStrictKernel:
+    def test_c_kernel_is_active(self):
+        # gcc is part of the supported build; a silent fallback must not pass.
+        assert nm.STRICT_MATMUL == "c"
+
+    def test_flags_keep_the_summation_order(self):
+        assert "-ffp-contract=off" in nm.STRICT_MM_FLAGS
+        banned = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math")
+        assert not set(banned) & set(nm.STRICT_MM_FLAGS)
+
+    @pytest.mark.parametrize("m, k, n", KERNEL_SHAPES)
+    def test_bytes_equal_numpy_loop(self, m, k, n):
+        assert_same_bytes(krandf(m, k, lo=-2.0), krandf(k, n, lo=-2.0))
+
+    def test_empty_contraction_gives_positive_zeros(self):
+        out = nm.matmul(np.zeros((5, 0), np.float32), np.zeros((0, 37), np.float32)).data
+        assert out.shape == (5, 37) and not np.signbit(out).any() and not out.any()
+
+    def test_negative_zero_row_sums_to_positive_zero(self):
+        a = krandf(6, 40)
+        a[2] = -0.0
+        out = nm.matmul(a, krandf(40, 35, lo=0.1)).data
+        assert not np.signbit(out[2]).any() and not out[2].any()
+        assert_same_bytes(a, krandf(40, 35))
+
+    def test_transposed_and_float64_operands(self):
+        a, b = krandf(45, 70), krandf(33, 45)
+        assert_same_bytes(a.T, b.T)
+        assert not a.T.flags.c_contiguous
+        a64 = KRNG.standard_normal((9, 70))
+        b64 = KRNG.standard_normal((70, 41))
+        assert_same_bytes(a64, b64)
+        assert_same_bytes(a64[::2], b64[:, ::3])
+
+    def test_inf_and_nan_propagate(self):
+        a, b = krandf(9, 70), krandf(70, 36)
+        a[1, 5] = np.inf
+        a[2, 0] = np.nan
+        b[7, 3] = -np.inf
+        b[9, 30] = np.nan
+        a[4, 7] = 0.0  # 0 * -inf in row 4, column 3
+        with np.errstate(invalid="ignore"):
+            assert_same_bytes(a, b)
+        out = nm.matmul(a, b).data
+        assert np.isnan(out[2]).all() and np.isnan(out[:, 30]).all() and np.isnan(out[4, 3])
+
+    def test_subnormals_are_not_flushed(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        a = krandf(7, 66) * np.float32(1e-20)
+        b = krandf(66, 34) * np.float32(1e-20)  # products far below the normal range
+        a[0, :] = tiny * np.arange(66, dtype=np.float32)
+        assert_same_bytes(a, b)
+        assert_same_bytes(a, np.ones((66, 34), np.float32))
+        out = nm.matmul(a, np.ones((66, 34), np.float32)).data
+        assert out[0, 0] == tiny * np.float32(66 * 65 // 2)
+
+    @pytest.mark.parametrize("c, co, hw, stride", [(16, 16, 16, 1), (16, 8, 16, 2), (3, 5, 6, 1)])
+    def test_conv2d_bytes_equal_numpy_loop(self, c, co, hw, stride):
+        x, w = krandf(c, hw, hw), krandf(co, c, 3, 3)
+        want = loop_product(w.reshape(co, -1), nm._im2col(x, stride)).reshape(co, hw // stride, hw // stride)
+        assert nm.conv2d(x, w, stride=stride).data.tobytes() == want.tobytes()
+
+    def test_numpy_fallback_gives_the_same_bytes(self, monkeypatch):
+        a, b = krandf(37, 130, lo=-2.0), krandf(130, 45, lo=-2.0)
+        x, w = krandf(8, 12, 12), krandf(4, 8, 3, 3)
+        kernel = nm.matmul(a, b).data, nm.conv2d(x, w).data
+        monkeypatch.setattr(nm, "STRICT_MATMUL", "numpy")
+        monkeypatch.setattr(nm, "_strict_mm_f32", None)  # the loop must not reach it
+        assert nm.matmul(a, b).data.tobytes() == kernel[0].tobytes()
+        assert nm.conv2d(x, w).data.tobytes() == kernel[1].tobytes()
+
+    def test_no_compiler_means_no_kernel(self, monkeypatch, tmp_path):
+        def no_gcc(*args, **kwargs):
+            raise FileNotFoundError("gcc")
+        monkeypatch.setattr(nm.tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(nm.subprocess, "run", no_gcc)
+        assert nm._load_strict_mm() is None
+        assert not any(p.suffix == ".so" for p in tmp_path.rglob("*"))
+
+    def test_cached_object_is_reused(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(nm.tempfile, "tempdir", str(tmp_path))
+        assert nm._load_strict_mm() is not None
+        monkeypatch.setattr(nm.subprocess, "run", None)  # a second compile would fail
+        fn = nm._load_strict_mm()
+        a, b = krandf(5, 9), krandf(9, 3)
+        out = np.empty((5, 3), np.float32)
+        assert fn(a.ctypes.data, b.ctypes.data, out.ctypes.data, 5, 9, 3) == 0
+        assert out.tobytes() == loop_product(a, b).tobytes()
 
 
 class TestGrad:

@@ -1,4 +1,4 @@
-"""Packaging metadata: every module pyproject.toml names exists."""
+"""Packaging metadata: every module and data file pyproject.toml names exists."""
 
 import importlib.util
 from pathlib import Path
@@ -20,3 +20,12 @@ def named_modules():
 @pytest.mark.parametrize("module", list(named_modules()))
 def test_named_module_resolves(module):
     assert importlib.util.find_spec(module) is not None, f"pyproject.toml names {module}, which does not exist"
+
+
+def test_kernel_source_is_package_data():
+    from promptstream import numerics as nm
+
+    data = tomllib.loads(PYPROJECT.read_text())["tool"]["setuptools"]["package-data"]["promptstream"]
+    assert nm.STRICT_MM_SOURCE.name in data
+    assert nm.STRICT_MM_SOURCE.is_file()
+    assert nm.STRICT_MM_SOURCE.parent == Path(nm.__file__).parent

@@ -124,6 +124,22 @@ class TestKeyframeCache:
         assert pc.interpolate(g, 0).tobytes() == want.tobytes()
 
 
+class TestIdentity:
+    def test_prompt_equality_is_identity(self):
+        a = rand_prompt()
+        twin = pc.LowRankPrompt(a.U, a.V)
+        assert a == a and a != twin
+        assert a in [a] and twin not in [a]
+
+    def test_prompts_and_groups_key_a_dict(self):
+        a, b = rand_prompt(), rand_prompt()
+        g = pc.PromptGroup(a, b, 3)
+        seen = {a: "a", b: "b", g: "g"}
+        assert seen[a] == "a" and seen[b] == "b" and seen[g] == "g"
+        assert len({a, pc.LowRankPrompt(a.U, a.V)}) == 2
+        assert g == g and g != pc.PromptGroup(a, b, 3)
+
+
 class TestQuantizer:
     def test_zeros_roundtrip(self):
         qm = pc.quantize(np.zeros((5, 4), np.float32))
@@ -217,3 +233,17 @@ class TestBitrate:
     def test_exact_with_fractional_rate(self):
         r = pc.bitrate_estimate(1024, 1, 12, Fraction(3, 2))
         assert r == 19818 and isinstance(r, int)
+
+    @pytest.mark.parametrize("q", [0, pc.MAX_Q + 1, 33])
+    def test_rejects_q_out_of_range(self, q):
+        with pytest.raises(ValueError, match="q must lie"):
+            pc.bitrate_estimate(1024, 1, q, 1)
+
+    @pytest.mark.parametrize("d, rank", [(1024, 78), (1024, 100), (16, 17), (1024, -1)])
+    def test_rejects_rank_out_of_range(self, d, rank):
+        with pytest.raises(ValueError, match="rank"):
+            pc.bitrate_estimate(d, rank, 12, 1)
+
+    def test_limits_are_accepted(self):
+        assert pc.bitrate_estimate(1024, 77, pc.MAX_Q, 1) == (77 + 1024) * 77 * pc.MAX_Q
+        assert pc.bitrate_estimate(16, 16, 1, 1) == (77 + 16) * 16
