@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import subprocess
 import tempfile
@@ -121,14 +122,19 @@ def _address(x):
 
 
 def _mm_loop(a, b, dtype):
-    """The numpy form of _mm: float64 replay, fallback and test reference."""
+    """The numpy form of _mm: float64 replay, fallback and test reference.
+
+    Like the C kernel, it warns about nothing: 0*inf gives NaN and a
+    product past the range gives inf without a numpy RuntimeWarning.
+    """
     m, k = a.shape
     _, n = b.shape
     out = np.zeros((m, n), dtype=dtype)
     tmp = np.empty((m, n), dtype=dtype)
-    for kk in range(k):
-        np.multiply(a[:, kk, np.newaxis], b[np.newaxis, kk, :], out=tmp)
-        out += tmp
+    with np.errstate(invalid="ignore", over="ignore"):
+        for kk in range(k):
+            np.multiply(a[:, kk, np.newaxis], b[np.newaxis, kk, :], out=tmp)
+            out += tmp
     return out
 
 
@@ -145,12 +151,43 @@ def _im2col(x, stride):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1/(1+exp(-x)), in one pass, with the bytes of the two-branch formula.
+
+    The two-branch formula takes 1/(1+exp(-x)) where x >= 0 and
+    exp(x)/(1+exp(x)) elsewhere, so that exp never overflows.  Both
+    branches are e = exp(-|x|) divided by 1 + e, with numerator 1 where
+    x >= 0 and e elsewhere: exp(-x) for x >= 0 and exp(x) for x < 0 are
+    the same rounded value, so each element divides the same operands.
+    -|x| is taken as minimum(x, -x), which keeps a NaN's sign and payload
+    as exp(x) did.  The numerator is maximum(e, [x >= 0]): e lies in
+    [0, 1], so that is 1 where x >= 0 and e (or e's NaN) elsewhere, without
+    a data-dependent branch per element.
+    """
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.greater_equal(x, 0, out=np.empty_like(x))
+    np.maximum(e, out, out=out)
+    e += 1.0
+    out /= e
     return out
+
+
+@lru_cache(maxsize=None)
+def _catmull_rom_taps(n, factor):
+    """Clamped tap indices (4,n*f) and weights for 1-D Catmull-Rom resampling."""
+    n_out = n * factor
+    i = np.arange(n_out, dtype=np.float64)
+    s = (i + 0.5) / factor - 0.5
+    base = np.floor(s).astype(np.intp)
+    t = s - base
+    w = np.empty((4, n_out), dtype=np.float64)
+    w[0] = -0.5 * t + t * t - 0.5 * t ** 3
+    w[1] = 1.0 - 2.5 * t * t + 1.5 * t ** 3
+    w[2] = 0.5 * t + 2.0 * t * t - 1.5 * t ** 3
+    w[3] = -0.5 * t * t + 0.5 * t ** 3
+    idx = np.stack([np.clip(base + k - 1, 0, n - 1) for k in range(4)])
+    return idx, w.astype(F32)
 
 
 def _unbroadcast(g, shape):
@@ -204,7 +241,7 @@ def _fwd_conv2d(a, p, dt):
 
 def _fwd_silu(a, p, dt):
     sg = _sigmoid(a[0])
-    return a[0] * sg
+    return np.multiply(a[0], sg, out=sg)
 
 
 def _fwd_softmax_last(a, p, dt):
@@ -233,6 +270,27 @@ def _fwd_lerp(a, p, dt):
     out = np.multiply(a[0], dt(p["wa"]))
     out += np.multiply(a[1], dt(p["wb"]))
     return out
+
+
+def _fwd_resample_cubic_axis(a, p, dt):
+    ax = p["axis"]
+    # With the axis leading, each tap gathers whole contiguous rows.
+    x = np.ascontiguousarray(np.moveaxis(a[0], ax, 0))
+    idx, w = _catmull_rom_taps(x.shape[0], p["factor"])
+    w = w.astype(dt, copy=False).reshape(w.shape + (1,) * (x.ndim - 1))
+
+    def tap(k):
+        t = np.take(x, idx[k], axis=0)
+        t *= w[k]
+        return t
+
+    # (t0*w0 + t1*w1) + (t2*w2 + t3*w3), the order of the take/mul/add composite
+    out = tap(0)
+    out += tap(1)
+    hi = tap(2)
+    hi += tap(3)
+    out += hi
+    return np.ascontiguousarray(np.moveaxis(out, 0, ax))
 
 
 def _fwd_mean_axes(a, p, dt):
@@ -329,6 +387,23 @@ def _vjp_lerp(a, p, out, g):
     return g * p["wa"], g * p["wb"]
 
 
+def _vjp_resample_cubic_axis(a, p, out, g):
+    x, ax = a[0], p["axis"]
+    n = x.shape[ax]
+    idx, w = _catmull_rom_taps(n, p["factor"])
+    g = np.moveaxis(g, ax, 0)
+    w = w.reshape(w.shape + (1,) * (g.ndim - 1))
+    # Each tap scatters from zero in output order, as take_axis's vjp does,
+    # and the taps are summed last to first, the order in which grad sums
+    # four separate take records: the bytes of the take/mul/add composite.
+    dx = None
+    for k in (3, 2, 1, 0):
+        dk = np.zeros((n,) + g.shape[1:], dtype=x.dtype)
+        np.add.at(dk, idx[k], g * w[k])
+        dx = dk if dx is None else np.add(dx, dk, out=dx)
+    return (np.ascontiguousarray(np.moveaxis(dx, 0, ax)),)
+
+
 def _vjp_mean_axes(a, p, out, g):
     x = a[0]
     axes = p["axes"]
@@ -410,6 +485,18 @@ def _check_lerp(arrays, params):
         raise _shape_error("lerp", arrays[0].shape, arrays[1].shape)
 
 
+def _check_upsample_factor(factor):
+    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError(f"upsample factor must be an integer >= 1, got {factor!r}")
+
+
+def _check_resample_cubic_axis(arrays, params):
+    _check_upsample_factor(params["factor"])
+    ax, nd = params["axis"], arrays[0].ndim
+    if not -nd <= ax < nd:
+        raise IndexError(f"resample_cubic_axis: axis {ax} out of range for {nd} dimensions")
+
+
 _OPS = {
     "add": _Op(_fwd_add, _vjp_add, _check_broadcast("add")),
     "sub": _Op(_fwd_sub, _vjp_sub, _check_broadcast("sub")),
@@ -424,6 +511,7 @@ _OPS = {
     "take_flat": _Op(_fwd_take_flat, _vjp_take_flat, _check_take_flat),
     "take_axis": _Op(_fwd_take_axis, _vjp_take_axis, _check_take_axis),
     "lerp": _Op(_fwd_lerp, _vjp_lerp, _check_lerp),
+    "resample_cubic_axis": _Op(_fwd_resample_cubic_axis, _vjp_resample_cubic_axis, _check_resample_cubic_axis),
     "mean_axes": _Op(_fwd_mean_axes, _vjp_mean_axes),
     "sum_all": _Op(_fwd_sum_all, _vjp_sum_all),
     "mean_all": _Op(_fwd_mean_all, _vjp_mean_all),
@@ -673,53 +761,40 @@ def group_norm(x, gamma, beta, groups=4, eps=1e-5):
     return add(mul(y, reshape(gamma, (c, 1, 1))), reshape(beta, (c, 1, 1)))
 
 
-@lru_cache(maxsize=None)
-def _catmull_rom_taps(n, factor):
-    """Clamped tap indices (4,n*f) and weights for 1-D Catmull-Rom resampling."""
-    n_out = n * factor
-    i = np.arange(n_out, dtype=np.float64)
-    s = (i + 0.5) / factor - 0.5
-    base = np.floor(s).astype(np.intp)
-    t = s - base
-    w = np.empty((4, n_out), dtype=np.float64)
-    w[0] = -0.5 * t + t * t - 0.5 * t ** 3
-    w[1] = 1.0 - 2.5 * t * t + 1.5 * t ** 3
-    w[2] = 0.5 * t + 2.0 * t * t - 1.5 * t ** 3
-    w[3] = -0.5 * t * t + 0.5 * t ** 3
-    idx = np.stack([np.clip(base + k - 1, 0, n - 1) for k in range(4)])
-    return idx, w.astype(F32)
+def resample_cubic_axis(x, factor, axis):
+    """Catmull-Rom (a=-0.5) upsampling of one axis by an integer factor.
 
-
-def _resample_axis_cubic(x, factor, axis, ndim):
-    n = x.shape[axis] if isinstance(x, Tensor) else np.asarray(x).shape[axis]
-    idx, w = _catmull_rom_taps(n, factor)
-    bshape = [1] * ndim
-    bshape[axis] = n * factor
-    terms = [mul(take_axis(x, idx[k], axis), w[k].reshape(bshape)) for k in range(4)]
-    return add(add(terms[0], terms[1]), add(terms[2], terms[3]))
+    Output sample j reads the four clamped input samples t0..t3 around it
+    and sums (t0*w0 + t1*w1) + (t2*w2 + t3*w3) in float32, with float32
+    weights. See upsample_cubic.
+    """
+    return _apply("resample_cubic_axis", (x,), factor=factor, axis=operator.index(axis))
 
 
 def upsample_cubic(x, factor, axes=(0, 1)):
     """Separable Catmull-Rom (a=-0.5) upsampling by an integer factor.
 
-    Edge taps clamp to the border sample. factor 1 returns the input
-    bit-identically.
+    Each axis in axes, in order, is one primitive resample_cubic_axis op.
+    Output sample j of an axis reads the four input samples t0..t3 at
+    floor((j + 0.5)/factor - 0.5) - 1 .. + 2, each clamped to the border
+    sample, and computes (t0*w0 + t1*w1) + (t2*w2 + t3*w3) with float32
+    weights, rounding every product and sum to float32. The vjp scatters
+    the cotangent times each weight back onto its tap's input sample, each
+    tap in output order from zero, and sums the four as
+    ((dx3 + dx2) + dx1) + dx0. factor 1 returns the input itself; a
+    factor that is not an integer >= 1 raises ValueError.
     """
-    if factor < 1:
-        raise ValueError(f"upsample factor must be >= 1, got {factor}")
+    _check_upsample_factor(factor)
     if factor == 1:
         return x
-    ndim = len(x.shape)
-    out = x
     for ax in axes:
-        out = _resample_axis_cubic(out, factor, ax, ndim)
-    return out
+        x = resample_cubic_axis(x, factor, ax)
+    return x
 
 
 def upsample_nearest(x, factor, axes=(0, 1)):
-    """Nearest-neighbor upsampling by an integer factor."""
-    if factor < 1:
-        raise ValueError(f"upsample factor must be >= 1, got {factor}")
+    """Nearest-neighbor upsampling by an integer factor (ValueError otherwise)."""
+    _check_upsample_factor(factor)
     if factor == 1:
         return x
     out = x

@@ -1,5 +1,7 @@
 """Tensor/tape tests: exact summation order, gradients vs FD, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,19 @@ class TestStrictKernel:
         monkeypatch.setattr(nm, "_strict_mm_f32", None)  # the loop must not reach it
         assert nm.matmul(a, b).data.tobytes() == kernel[0].tobytes()
         assert nm.conv2d(x, w).data.tobytes() == kernel[1].tobytes()
+
+    def test_numpy_loop_warns_as_little_as_the_kernel(self, monkeypatch):
+        # 0 * inf (NaN) and 1e30 * 1e30 (inf): the kernel is silent, so the loop must be too.
+        a = np.ones((3, 4), np.float32)
+        b = np.ones((4, 5), np.float32)
+        a[0, 1], b[1, 2] = 0.0, np.inf
+        a[2, 3], b[3, 4] = 1e30, 1e30
+        kernel = nm.matmul(a, b).data
+        assert np.isnan(kernel[0, 2]) and np.isinf(kernel[2, 4])
+        monkeypatch.setattr(nm, "STRICT_MATMUL", "numpy")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nm.matmul(a, b).data.tobytes() == kernel.tobytes()
 
     def test_no_compiler_means_no_kernel(self, monkeypatch, tmp_path):
         def no_gcc(*args, **kwargs):
@@ -388,3 +403,175 @@ class TestFiniteness:
         g = nm.group_norm(np.zeros((4, 4, 4), np.float32), np.ones(4, np.float32),
                           np.zeros(4, np.float32), groups=4)
         assert np.isfinite(g.data).all()
+
+
+def two_branch_sigmoid(x):
+    """The former _sigmoid: the bytes the one-pass form must keep."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def silu_vjp_reference(x, g):
+    sg = two_branch_sigmoid(x)
+    return g * (sg * (1.0 + x * (1.0 - sg)))
+
+
+SILU_SPECIAL = [0.0, -0.0, 20.0, -20.0, 88.0, -88.0, 104.0, -104.0, 1e-40, -1e-40, np.inf, -np.inf, np.nan, -np.nan]
+
+
+def silu_inputs(dtype):
+    rng = np.random.default_rng(20261019)
+    normal = rng.standard_normal((64, 64, 64)).astype(dtype)
+    special = np.array(SILU_SPECIAL, dtype=dtype)
+    return normal, special
+
+
+class TestSilu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bytes_equal_two_branch_formula(self, dtype):
+        for x in silu_inputs(dtype):
+            with np.errstate(invalid="ignore"):
+                assert nm._sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+
+    def test_forward_bytes(self):
+        for x in silu_inputs(np.float32):
+            with np.errstate(invalid="ignore"):  # -inf * 0
+                want = x * two_branch_sigmoid(x)
+                got = nm.silu(x).data
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert np.isnan(got[SILU_SPECIAL.index(-np.inf)]) and got[SILU_SPECIAL.index(np.inf)] == np.inf
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vjp_bytes(self, dtype):
+        rng = np.random.default_rng(20261020)
+        for x in silu_inputs(dtype):
+            g = rng.standard_normal(x.shape).astype(dtype)
+            with np.errstate(invalid="ignore"):
+                (got,) = nm._OPS["silu"].vjp([x], {}, None, g)
+                want = silu_vjp_reference(x, g)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_replay_bytes(self):
+        for x in silu_inputs(np.float32):
+            tape = GradTape()
+            with np.errstate(invalid="ignore"):
+                y = nm.silu(tape.leaf(x))
+                assert tape.replay()[y.node].tobytes() == y.data.tobytes()
+                got = tape.replay(dtype=np.float64)[y.node]
+                x64 = x.astype(np.float64)
+                assert got.dtype == np.float64
+                assert got.tobytes() == (x64 * two_branch_sigmoid(x64)).tobytes()
+
+
+def composite_resample(x, factor, axis):
+    """The former upsample_cubic axis step: 4 take_axis, 4 mul and 3 add records."""
+    n = x.shape[axis]
+    idx, w = nm._catmull_rom_taps(n, factor)
+    bshape = [1] * len(x.shape)
+    bshape[axis] = n * factor
+    terms = [nm.mul(nm.take_axis(x, idx[k], axis), w[k].reshape(bshape)) for k in range(4)]
+    return nm.add(nm.add(terms[0], terms[1]), nm.add(terms[2], terms[3]))
+
+
+# (input shape, factor, axis): both axes of the render block's x8 upsample,
+# and the shape test_upsample_cubic_grad uses.
+RESAMPLE_CASES = [((3, 64, 64), 8, 1), ((3, 64, 64), 8, 2), ((4, 4, 3), 2, 0), ((4, 4, 3), 2, 1)]
+RESAMPLE_IDS = [f"{'x'.join(map(str, s))}-f{f}-axis{a}" for s, f, a in RESAMPLE_CASES]
+
+
+def resample_grads(resample, x, r):
+    tape = GradTape()
+    leaf = tape.leaf(x)
+    loss = nm.sum_all(nm.mul(resample(leaf), r))
+    return nm.grad(loss, [leaf])[0].data
+
+
+class TestResampleCubicAxis:
+    # Every test seeds its own generator: a draw from the shared RNG would
+    # change the input of test_upsample_cubic_grad.
+
+    @pytest.mark.parametrize("shape, factor, axis", RESAMPLE_CASES, ids=RESAMPLE_IDS)
+    def test_forward_bytes_equal_composite(self, shape, factor, axis):
+        x = np.random.default_rng(20261022).standard_normal(shape).astype(np.float32)
+        got = nm.resample_cubic_axis(x, factor, axis).data
+        want = composite_resample(x, factor, axis).data
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, factor, axis", RESAMPLE_CASES, ids=RESAMPLE_IDS)
+    def test_vjp_bytes_equal_composite_grad(self, shape, factor, axis):
+        rng = np.random.default_rng(20261023)
+        x = rng.uniform(-1.0, 1.0, shape).astype(np.float32)
+        out_shape = list(shape)
+        out_shape[axis] *= factor
+        r = rng.standard_normal(out_shape).astype(np.float32)
+        got = resample_grads(lambda t: nm.resample_cubic_axis(t, factor, axis), x, r)
+        want = resample_grads(lambda t: composite_resample(t, factor, axis), x, r)
+        assert got.tobytes() == want.tobytes()
+
+    def test_upsample_is_one_op_per_axis_with_the_composite_bytes(self):
+        rng = np.random.default_rng(20261024)
+        x = rng.uniform(-1.0, 1.0, (4, 4, 3)).astype(np.float32)
+        r = rng.standard_normal((8, 8, 3)).astype(np.float32)
+        tape = GradTape()
+        out = nm.upsample_cubic(tape.leaf(x), 2)
+        assert [rec.op for rec in tape.records] == ["resample_cubic_axis"] * 2
+        want = composite_resample(composite_resample(x, 2, 0), 2, 1)
+        assert out.data.tobytes() == want.data.tobytes()
+        got = resample_grads(lambda t: nm.upsample_cubic(t, 2), x, r)
+        want = resample_grads(lambda t: composite_resample(composite_resample(t, 2, 0), 2, 1), x, r)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, factor, axis", RESAMPLE_CASES, ids=RESAMPLE_IDS)
+    def test_replay(self, shape, factor, axis):
+        x = np.random.default_rng(20261025).standard_normal(shape).astype(np.float32)
+        tape = GradTape()
+        out = nm.resample_cubic_axis(tape.leaf(x), factor, axis)
+        assert tape.replay()[out.node].tobytes() == out.data.tobytes()
+        # float64: the same taps and float32 weights, summed in the same order
+        idx, w = nm._catmull_rom_taps(shape[axis], factor)
+        bshape = [1] * len(shape)
+        bshape[axis] = -1
+        t = [np.take(x.astype(np.float64), idx[k], axis=axis) * w[k].astype(np.float64).reshape(bshape)
+             for k in range(4)]
+        got = tape.replay(dtype=np.float64)[out.node]
+        assert got.dtype == np.float64
+        assert got.tobytes() == ((t[0] + t[1]) + (t[2] + t[3])).tobytes()
+
+    @pytest.mark.parametrize("shape, factor, axis", [((4, 5, 3), 2, 0), ((3, 4), 3, 1), ((2, 3, 4), 2, -1)])
+    def test_fd_match(self, shape, factor, axis):
+        rng = np.random.default_rng(20261026)
+        x = rng.uniform(-1.0, 1.0, shape).astype(np.float32)
+        tape = GradTape()
+        leaf = tape.leaf(x)
+        out = nm.resample_cubic_axis(leaf, factor, axis)
+        r = tape.constant(rng.standard_normal(out.shape).astype(np.float32))
+        check_grad(nm.sum_all(nm.mul(out, r)), [leaf], tol=1e-4)
+
+    @pytest.mark.parametrize("factor", [2.5, 2.0, 0, -1, True, "2"])
+    def test_bad_factor_rejected(self, factor):
+        x = np.zeros((4, 4, 3), np.float32)
+        for fn in (nm.upsample_cubic, nm.upsample_nearest):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                fn(x, factor)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            nm.resample_cubic_axis(x, factor, 0)
+
+    def test_numpy_integer_factor_accepted(self):
+        x = np.ones((2, 3), np.float32)
+        assert nm.upsample_cubic(x, np.int64(2)).shape == (4, 6)
+        assert nm.upsample_nearest(x, np.int64(2)).shape == (4, 6)
+        assert nm.upsample_nearest(x, np.int64(1)) is x
+
+    @pytest.mark.parametrize("axis", [3, -4])
+    def test_axis_out_of_range_rejected(self, axis):
+        with pytest.raises(IndexError, match="resample_cubic_axis"):
+            nm.resample_cubic_axis(np.zeros((4, 4, 3), np.float32), 2, axis)
+
+    def test_float_axis_rejected(self):
+        with pytest.raises(TypeError):
+            nm.resample_cubic_axis(np.zeros((4, 4, 3), np.float32), 2, 1.5)
