@@ -12,13 +12,17 @@ bytes.  At float32 it runs a small C kernel (_strict_mm.c), compiled with
 gcc at first import and loaded through ctypes; at float64 (tape replay
 for the finite-difference oracles), and wherever the kernel cannot be
 built, it runs a numpy loop over k.  STRICT_MATMUL names the float32 one
-in use, "c" or "numpy".  The kernel is built with -ffp-contract=off, so no
-multiply and add fuse into one rounding, and never with -ffast-math,
--Ofast, -funsafe-math-optimizations or -fassociative-math: those reorder
-the sum, and a library linked with them can switch on flush-to-zero for
-the whole process.  -march=native ties the object to the host, so it is
-cached per user under tempfile.gettempdir(), keyed by a hash of the
-source and the flags.
+in use, "c" or "numpy".  conv2d's float32 forward runs the kernel's
+second entry point, which gathers each 3x3 patch from the input as it
+fills the kernel's panels; the patch matrix that _im2col builds serves
+only the conv2d vjp, float64 replay and the numpy fallback.  The kernel
+is built with -ffp-contract=off, so no multiply and add fuse into one
+rounding, and never with -ffast-math, -Ofast,
+-funsafe-math-optimizations or -fassociative-math: those reorder the sum,
+and a library linked with them can switch on flush-to-zero for the whole
+process.  -march=native ties the object to the host, so it is cached per
+user under tempfile.gettempdir(), keyed by a hash of the source and the
+flags.
 
 Tensors are immutable once produced; a tape is confined to one thread.
 """
@@ -61,7 +65,11 @@ STRICT_MM_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPI
 
 
 def _load_strict_mm():
-    """Compile (once per host and source) and load the C kernel; None if that fails."""
+    """Compile (once per host and source) and load the C kernels' library; None if that fails.
+
+    The library exports strict_mm_f32 and strict_conv3x3_f32, their
+    argument types set; if either is missing, none is loaded.
+    """
     try:
         src = STRICT_MM_SOURCE.read_bytes()
         key = hashlib.sha256(src + " ".join(STRICT_MM_FLAGS).encode()).hexdigest()[:16]
@@ -83,16 +91,19 @@ def _load_strict_mm():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib)).strict_mm_f32
+        dll = ctypes.CDLL(str(lib))
+        for fn, n_sizes in ((dll.strict_mm_f32, 3), (dll.strict_conv3x3_f32, 5)):
+            fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * n_sizes
+            fn.restype = ctypes.c_int
     except (OSError, AttributeError, subprocess.CalledProcessError):
         return None
-    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 3
-    fn.restype = ctypes.c_int
-    return fn
+    return dll
 
 
-_strict_mm_f32 = _load_strict_mm()
-STRICT_MATMUL = "numpy" if _strict_mm_f32 is None else "c"
+_dll = _load_strict_mm()
+_strict_mm_f32 = getattr(_dll, "strict_mm_f32", None)
+_strict_conv3x3_f32 = getattr(_dll, "strict_conv3x3_f32", None)
+STRICT_MATMUL = "numpy" if _dll is None else "c"
 
 
 def _mm(a, b, dtype):
@@ -139,7 +150,13 @@ def _mm_loop(a, b, dtype):
 
 
 def _im2col(x, stride):
-    """3x3 patches of a padded (C,H,W) map as a (C*9, Ho*Wo) matrix."""
+    """3x3 patches of a padded (C,H,W) map as a (C*9, Ho*Wo) matrix.
+
+    Row ci*9 + dy*3 + dx holds x[ci, oy*stride + dy - 1, ox*stride + dx - 1]
+    (0 outside the map) at column oy*Wo + ox.  conv2d's vjp, float64
+    replay and the numpy fallback use it; the float32 forward under the C
+    kernel gathers the same entries in the kernel and builds no such matrix.
+    """
     c, h, w = x.shape
     ho, wo = h // stride, w // stride
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
@@ -233,10 +250,16 @@ def _fwd_conv2d(a, p, dt):
     x, w = a
     s = p["stride"]
     co = w.shape[0]
-    c, h, _ = x.shape
-    cols = _im2col(x, s)
-    out = _mm(w.reshape(co, -1), cols, dt)
-    return out.reshape(co, h // s, x.shape[2] // s)
+    c, h, wd = x.shape
+    if dt != F32 or STRICT_MATMUL != "c":
+        return _mm(w.reshape(co, -1), _im2col(x, s), dt).reshape(co, h // s, wd // s)
+    _check_conv2d(a, p)  # the kernel trusts these sizes
+    x = np.ascontiguousarray(x, dtype=F32)
+    w = np.ascontiguousarray(w, dtype=F32)
+    out = np.empty((co, h // s, wd // s), dtype=F32)
+    if _strict_conv3x3_f32(_address(x), _address(w), _address(out), c, h, wd, co, s):
+        raise MemoryError(f"strict conv2d: no buffer for a {c * 9}x32 panel")
+    return out
 
 
 def _fwd_silu(a, p, dt):
@@ -452,8 +475,8 @@ def _check_conv2d(arrays, params):
     if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[0] != w.shape[1]:
         raise _shape_error("conv2d", x.shape, w.shape)
     s = params["stride"]
-    if s not in (1, 2):
-        raise ValueError(f"conv2d: stride must be 1 or 2, got {s}")
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (1, 2):
+        raise ValueError(f"conv2d: stride must be the integer 1 or 2, got {s!r}")
     if x.shape[1] % s or x.shape[2] % s:
         raise _shape_error("conv2d(stride)", x.shape, w.shape)
 
@@ -681,7 +704,14 @@ def matmul(a, b):
 
 
 def conv2d(x, w, stride=1):
-    """3x3 convolution over a (C,H,W) map, padding 1, stride 1 or 2."""
+    """3x3 convolution over a (C,H,W) map, padding 1, stride 1 or 2.
+
+    The bytes are those of the strict-order product of w as a (Co, C*9)
+    matrix with _im2col(x, stride).  At float32 under the C kernel, the
+    kernel gathers the patches straight from x and no patch matrix is
+    built.  stride must be the integer 1 or 2 (not a bool or a float),
+    else ValueError.
+    """
     return _apply("conv2d", (x, w), stride=stride)
 
 
@@ -708,7 +738,7 @@ def take_flat(x, idx, out_shape):
 
 
 def take_axis(x, idx, axis):
-    return _apply("take_axis", (x,), idx=np.asarray(idx, dtype=np.intp), axis=int(axis))
+    return _apply("take_axis", (x,), idx=np.asarray(idx, dtype=np.intp), axis=operator.index(axis))
 
 
 def mean_axes(x, axes, keepdims=True):
@@ -750,6 +780,8 @@ def lerp(a, b, alpha):
 def group_norm(x, gamma, beta, groups=4, eps=1e-5):
     """Group normalization of a (C,H,W) map with per-channel affine."""
     c, h, w = (x.shape if isinstance(x, Tensor) else np.asarray(x).shape)
+    if groups < 1:
+        raise ValueError(f"group_norm: groups must be >= 1, got {groups}")
     if c % groups:
         raise _shape_error("group_norm", (c, h, w), (groups,))
     xg = reshape(x, (groups, (c // groups) * h * w))

@@ -1,5 +1,6 @@
 """Tensor/tape tests: exact summation order, gradients vs FD, determinism."""
 
+import ctypes
 import warnings
 
 import numpy as np
@@ -77,6 +78,32 @@ KERNEL_SHAPES = [
 ]
 
 
+def conv_reference(x, w, stride):
+    """conv2d's bytes: the numpy strict loop over the _im2col patch matrix."""
+    co, ho, wo = w.shape[0], x.shape[1] // stride, x.shape[2] // stride
+    return loop_product(w.reshape(co, -1), nm._im2col(x, stride)).reshape(co, ho, wo)
+
+
+def assert_conv_same_bytes(x, w, stride):
+    want = conv_reference(x, w, stride)
+    got = nm.conv2d(x, w, stride=stride).data
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# (c, co, h, w, stride) for the kernel's patch gather: panels (32 output
+# pixels) that start mid-row and cross one or more output rows, rows longer
+# than a panel, fewer pixels than one panel, co in {1, 3, 5, 64} (row tiles
+# of 4 with every remainder), c = 1, the render block's 64 channels, and
+# panels that span exactly the pixels between the two borders.
+CONV_SHAPES = [
+    (4, 3, 10, 10, 1), (4, 3, 10, 10, 2), (5, 5, 6, 14, 1), (5, 5, 6, 14, 2),
+    (2, 5, 3, 40, 1), (2, 5, 4, 40, 2), (3, 64, 4, 4, 1), (3, 1, 2, 6, 2),
+    (1, 3, 9, 7, 1), (1, 1, 6, 8, 2), (64, 3, 8, 8, 1), (64, 64, 6, 6, 2),
+    (2, 3, 3, 32, 1), (2, 3, 2, 64, 2), (3, 5, 2, 64, 1),
+]
+
+
 class TestStrictKernel:
     def test_c_kernel_is_active(self):
         # gcc is part of the supported build; a silent fallback must not pass.
@@ -139,12 +166,88 @@ class TestStrictKernel:
         want = loop_product(w.reshape(co, -1), nm._im2col(x, stride)).reshape(co, hw // stride, hw // stride)
         assert nm.conv2d(x, w, stride=stride).data.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("c, co, h, w, stride", CONV_SHAPES)
+    def test_conv2d_patch_gather_bytes(self, c, co, h, w, stride):
+        rng = np.random.default_rng([c, co, h, w, stride])
+        assert_conv_same_bytes(randf(c, h, w, lo=-2.0, hi=2.0, rng=rng), randf(co, c, 3, 3, rng=rng), stride)
+
+    def test_conv2d_forward_builds_no_patch_matrix(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        x, w = randf(6, 10, 10, rng=rng), randf(3, 6, 3, 3, rng=rng)
+        want = conv_reference(x, w, 1)
+
+        def no_im2col(*args):
+            raise AssertionError("the float32 forward built a patch matrix")
+        monkeypatch.setattr(nm, "_im2col", no_im2col)
+        assert nm.conv2d(x, w).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("hw", [(0, 4), (4, 0), (0, 0)])
+    def test_conv2d_empty_map(self, stride, hw):
+        rng = np.random.default_rng(72)
+        x, w = np.zeros((3, *hw), np.float32), randf(5, 3, 3, 3, rng=rng)
+        assert_conv_same_bytes(x, w, stride)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_no_channels_gives_positive_zeros(self, stride):
+        out = nm.conv2d(np.zeros((0, 6, 10), np.float32), np.zeros((5, 0, 3, 3), np.float32), stride=stride).data
+        assert out.shape == (5, 6 // stride, 10 // stride)
+        assert not out.any() and not np.signbit(out).any()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_negative_zero_at_the_border(self, stride):
+        rng = np.random.default_rng(73)
+        x, w = randf(3, 8, 12, rng=rng), randf(4, 3, 3, 3, rng=rng)
+        x[:, [0, -1], :] = -0.0
+        x[:, :, [0, -1]] = -0.0
+        assert_conv_same_bytes(x, w, stride)
+        # Every product with a -0 input or the padding is a signed zero, and
+        # every sum starts at +0, so an all -0 map gives +0 everywhere.
+        out = nm.conv2d(np.full(x.shape, -0.0, np.float32), w, stride=stride).data
+        assert not out.any() and not np.signbit(out).any()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_inf_and_nan_propagate(self, stride):
+        rng = np.random.default_rng(74)
+        x, w = randf(4, 10, 10, rng=rng), randf(5, 4, 3, 3, rng=rng)
+        x[1, 0, 0] = np.inf    # a corner, whose patches also read the padding
+        x[2, 5, 4] = np.nan
+        w[3, 0, 1, 1] = -np.inf  # centre tap: -inf times each input of channel 0
+        w[4, 2, 0, 0] = np.nan   # NaN times every input and the padding
+        assert_conv_same_bytes(x, w, stride)
+        out = nm.conv2d(x, w, stride=stride).data
+        assert np.isnan(out[4]).all() and np.isinf(out[3]).any()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_subnormals_are_not_flushed(self, stride):
+        rng = np.random.default_rng(75)
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = randf(3, 6, 6, rng=rng) * np.float32(1e-20)
+        w = randf(2, 3, 3, 3, rng=rng) * np.float32(1e-20)  # products far below the normal range
+        assert_conv_same_bytes(x, w, stride)
+        x = np.zeros((1, 4, 4), np.float32)
+        x[0, 1, 1] = tiny
+        out = nm.conv2d(x, np.ones((1, 1, 3, 3), np.float32), stride=stride).data
+        assert out[0, 0, 0] == tiny
+
+    def test_conv2d_float64_replay_runs_the_patch_matrix(self):
+        rng = np.random.default_rng(76)
+        tape = GradTape()
+        x, w = tape.leaf(randf(3, 8, 8, rng=rng)), tape.leaf(randf(4, 3, 3, 3, rng=rng))
+        out = nm.conv2d(x, w, stride=2)
+        assert tape.replay()[out.node].tobytes() == out.data.tobytes()
+        x64, w64 = x.data.astype(np.float64), w.data.astype(np.float64)
+        want = nm._mm_loop(w64.reshape(4, -1), nm._im2col(x64, 2), np.float64).reshape(4, 4, 4)
+        got = tape.replay(dtype=np.float64)[out.node]
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
     def test_numpy_fallback_gives_the_same_bytes(self, monkeypatch):
         a, b = krandf(37, 130, lo=-2.0), krandf(130, 45, lo=-2.0)
         x, w = krandf(8, 12, 12), krandf(4, 8, 3, 3)
         kernel = nm.matmul(a, b).data, nm.conv2d(x, w).data
         monkeypatch.setattr(nm, "STRICT_MATMUL", "numpy")
         monkeypatch.setattr(nm, "_strict_mm_f32", None)  # the loop must not reach it
+        monkeypatch.setattr(nm, "_strict_conv3x3_f32", None)
         assert nm.matmul(a, b).data.tobytes() == kernel[0].tobytes()
         assert nm.conv2d(x, w).data.tobytes() == kernel[1].tobytes()
 
@@ -173,11 +276,23 @@ class TestStrictKernel:
         monkeypatch.setattr(nm.tempfile, "tempdir", str(tmp_path))
         assert nm._load_strict_mm() is not None
         monkeypatch.setattr(nm.subprocess, "run", None)  # a second compile would fail
-        fn = nm._load_strict_mm()
+        lib = nm._load_strict_mm()
         a, b = krandf(5, 9), krandf(9, 3)
         out = np.empty((5, 3), np.float32)
-        assert fn(a.ctypes.data, b.ctypes.data, out.ctypes.data, 5, 9, 3) == 0
+        assert lib.strict_mm_f32(a.ctypes.data, b.ctypes.data, out.ctypes.data, 5, 9, 3) == 0
         assert out.tobytes() == loop_product(a, b).tobytes()
+
+    def test_cached_object_exports_both_entry_points(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(nm.tempfile, "tempdir", str(tmp_path))
+        lib = nm._load_strict_mm()
+        (so,) = tmp_path.rglob("*.so")
+        cached = ctypes.CDLL(str(so))
+        assert hasattr(cached, "strict_mm_f32") and hasattr(cached, "strict_conv3x3_f32")
+        rng = np.random.default_rng(77)
+        x, w = randf(3, 6, 10, rng=rng), randf(5, 3, 3, 3, rng=rng)
+        out = np.empty((5, 3, 5), np.float32)
+        assert lib.strict_conv3x3_f32(x.ctypes.data, w.ctypes.data, out.ctypes.data, 3, 6, 10, 5, 2) == 0
+        assert out.tobytes() == conv_reference(x, w, 2).tobytes()
 
 
 class TestGrad:
@@ -348,10 +463,34 @@ class TestGather:
         with pytest.raises(IndexError, match="take_axis"):
             nm.take_axis(randf(2, 3), idx, 1)
 
+    def test_take_axis_rejects_float_axis(self):
+        with pytest.raises(TypeError):
+            nm.take_axis(randf(2, 3, rng=np.random.default_rng(78)), [0], 1.7)
+
     @pytest.mark.parametrize("idx", [[-1], [12]])
     def test_take_flat_rejects_index_out_of_range(self, idx):
         with pytest.raises(IndexError, match="take_flat"):
             nm.take_flat(randf(3, 4), idx, (1,))
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("stride", [True, 1.0, 2.0, 0, 3])
+    def test_conv2d_rejects_bad_stride(self, stride):
+        rng = np.random.default_rng(79)
+        with pytest.raises(ValueError, match="stride"):
+            nm.conv2d(randf(2, 4, 4, rng=rng), randf(3, 2, 3, 3, rng=rng), stride=stride)
+
+    def test_conv2d_accepts_numpy_integer_stride(self):
+        rng = np.random.default_rng(80)
+        x, w = randf(2, 4, 6, rng=rng), randf(3, 2, 3, 3, rng=rng)
+        out = nm.conv2d(x, w, stride=np.int64(2)).data
+        assert out.tobytes() == nm.conv2d(x, w, stride=2).data.tobytes()
+
+    @pytest.mark.parametrize("groups", [0, -2])
+    def test_group_norm_rejects_groups_below_one(self, groups):
+        rng = np.random.default_rng(81)
+        with pytest.raises(ValueError, match="groups"):
+            nm.group_norm(randf(4, 3, 3, rng=rng), randf(4, rng=rng), randf(4, rng=rng), groups=groups)
 
 
 class TestResampling:
