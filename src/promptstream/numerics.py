@@ -5,24 +5,25 @@ is attached to a GradTape, appends a replayable record to that tape.
 Forward passes are bit-deterministic: reductions use a fixed summation
 order (matmul and conv accumulate strictly left-to-right over the
 contraction axis), so two runs over the same inputs produce identical
-bytes.  grad() walks the tape in reverse to return dLoss/dLeaf.
+bytes.  grad() walks the tape in reverse to return dLoss/dLeaf.  A live
+op and replay() both run an op through its one _Op call, which checks the
+operands and then runs the forward at their dtype.
 
 The strict-order product has two implementations that give the same
 bytes.  At float32 it runs a small C kernel (_strict_mm.c), compiled with
-gcc at first import and loaded through ctypes; at float64 (tape replay
-for the finite-difference oracles), and wherever the kernel cannot be
-built, it runs a numpy loop over k.  STRICT_MATMUL names the float32 one
-in use, "c" or "numpy".  conv2d's float32 forward runs the kernel's
-second entry point, which gathers each 3x3 patch from the input as it
-fills the kernel's panels; the patch matrix that _im2col builds serves
-only the conv2d vjp, float64 replay and the numpy fallback.  The kernel
-is built with -ffp-contract=off, so no multiply and add fuse into one
-rounding, and never with -ffast-math, -Ofast,
--funsafe-math-optimizations or -fassociative-math: those reorder the sum,
-and a library linked with them can switch on flush-to-zero for the whole
-process.  -march=native ties the object to the host, so it is cached per
-user under tempfile.gettempdir(), keyed by a hash of the source and the
-flags.
+gcc at first import and loaded through ctypes; at float64, and wherever
+the kernel cannot be built, it runs a numpy loop over k.  STRICT_MATMUL
+names the float32 one in use, "c" or "numpy"; only _strict_kernel reads
+it.  conv2d's float32 forward runs the kernel's second entry point, which
+gathers each 3x3 patch from the input as it fills the kernel's panels;
+the patch matrix that _im2col builds serves only the conv2d vjp, float64
+replay and the numpy fallback.  The kernel is built with
+-ffp-contract=off, so no multiply and add fuse into one rounding, and
+never with -ffast-math, -Ofast, -funsafe-math-optimizations or
+-fassociative-math: those reorder the sum, and a library linked with
+them can switch on flush-to-zero for the whole process.  -march=native
+ties the object to the host, so it is cached per user under
+tempfile.gettempdir(), keyed by a hash of the source and the flags.
 
 Tensors are immutable once produced; a tape is confined to one thread.
 """
@@ -56,8 +57,8 @@ def _shape_error(op, *shapes):
 
 
 # ---------------------------------------------------------------------------
-# forward kernels (dtype-parameterized so a tape can be replayed in float64,
-# which the finite-difference test oracles rely on)
+# forward kernels (each runs at its operands' dtype, so replay at float64,
+# which the finite-difference test oracles rely on, runs the same code)
 # ---------------------------------------------------------------------------
 
 STRICT_MM_SOURCE = Path(__file__).with_name("_strict_mm.c")
@@ -101,47 +102,38 @@ def _load_strict_mm():
 
 
 _dll = _load_strict_mm()
-_strict_mm_f32 = getattr(_dll, "strict_mm_f32", None)
-_strict_conv3x3_f32 = getattr(_dll, "strict_conv3x3_f32", None)
 STRICT_MATMUL = "numpy" if _dll is None else "c"
 
 
-def _mm(a, b, dtype):
-    """Matrix product with strict left-to-right accumulation over k.
+def _strict_kernel(entry, a, b, out_shape, *sizes):
+    """Run the C entry point on a and b into a new out_shape array; None where the numpy loop runs.
 
-    Each entry is +0 plus a[i,0]*b[0,j], then plus a[i,1]*b[1,j], and so
-    on to k-1, with every product and every sum rounded to dtype.  The C
-    kernel and _mm_loop follow this order, so they give the same bytes;
-    the C kernel runs at float32 when STRICT_MATMUL is "c".
+    This is where the kernel or the loop is chosen: the loop runs at any
+    dtype but float32 and whenever STRICT_MATMUL is not "c".  The kernel
+    trusts the sizes it is given; each op's check runs before its forward.
     """
-    if dtype != F32 or STRICT_MATMUL != "c":
-        return _mm_loop(a, b, dtype)
+    if a.dtype != F32 or STRICT_MATMUL != "c":
+        return None
     a = np.ascontiguousarray(a, dtype=F32)
     b = np.ascontiguousarray(b, dtype=F32)
-    (m, k), n = a.shape, b.shape[1]
-    if b.shape[0] != k:  # the kernel trusts these sizes
-        raise _shape_error("matmul", a.shape, b.shape)
-    out = np.empty((m, n), dtype=F32)
-    if _strict_mm_f32(_address(a), _address(b), _address(out), m, k, n):
-        raise MemoryError(f"strict matmul: no buffer for a {k}x32 panel")
+    out = np.empty(out_shape, dtype=F32)
+    # Unlike x.ctypes.data, __array_interface__ leaves no cached ctypes objects behind.
+    ptrs = [x.__array_interface__["data"][0] for x in (a, b, out)]
+    if getattr(_dll, entry)(*ptrs, *sizes):
+        raise MemoryError(f"{entry}: no buffer for a 32-column panel")
     return out
 
 
-def _address(x):
-    # Unlike x.ctypes.data, this leaves no cached ctypes objects behind.
-    return x.__array_interface__["data"][0]
-
-
-def _mm_loop(a, b, dtype):
-    """The numpy form of _mm: float64 replay, fallback and test reference.
+def _mm_loop(a, b):
+    """The numpy form of matmul's strict product: float64 replay, fallback and test reference.
 
     Like the C kernel, it warns about nothing: 0*inf gives NaN and a
     product past the range gives inf without a numpy RuntimeWarning.
     """
     m, k = a.shape
     _, n = b.shape
-    out = np.zeros((m, n), dtype=dtype)
-    tmp = np.empty((m, n), dtype=dtype)
+    out = np.zeros((m, n), dtype=a.dtype)
+    tmp = np.empty_like(out)
     with np.errstate(invalid="ignore", over="ignore"):
         for kk in range(k):
             np.multiply(a[:, kk, np.newaxis], b[np.newaxis, kk, :], out=tmp)
@@ -221,86 +213,96 @@ class _Op:
     __slots__ = ("forward", "vjp", "check")
 
     def __init__(self, forward, vjp, check=None):
-        self.forward = forward  # (arrays, params, dtype) -> array
+        self.forward = forward  # (arrays, params) -> array at the arrays' dtype; trusts the check
         self.vjp = vjp          # (arrays, params, out, g) -> per-input grads
         self.check = check      # (arrays, params) -> None; raises on bad operands
 
+    def __call__(self, arrays, params):
+        """Check the operands, then run the forward: the only way an op runs."""
+        if self.check is not None:
+            self.check(arrays, params)
+        return self.forward(arrays, params)
 
-def _fwd_add(a, p, dt):
+
+def _fwd_add(a, p):
     return a[0] + a[1]
 
 
-def _fwd_sub(a, p, dt):
+def _fwd_sub(a, p):
     return a[0] - a[1]
 
 
-def _fwd_mul(a, p, dt):
+def _fwd_mul(a, p):
     return a[0] * a[1]
 
 
-def _fwd_neg(a, p, dt):
+def _fwd_neg(a, p):
     return -a[0]
 
 
-def _fwd_matmul(a, p, dt):
-    return _mm(a[0], a[1], dt)
+def _fwd_matmul(a, p):
+    """Matrix product with strict left-to-right accumulation over k.
+
+    Each entry is +0 plus a[i,0]*b[0,j], then plus a[i,1]*b[1,j], and so
+    on to k-1, with every product and every sum rounded to the operands'
+    dtype.  The C kernel and _mm_loop follow this order, so they give the
+    same bytes; _strict_kernel picks which one runs.
+    """
+    (m, k), n = a[0].shape, a[1].shape[1]
+    out = _strict_kernel("strict_mm_f32", *a, (m, n), m, k, n)
+    return _mm_loop(*a) if out is None else out
 
 
-def _fwd_conv2d(a, p, dt):
+def _fwd_conv2d(a, p):
     x, w = a
     s = p["stride"]
     co = w.shape[0]
     c, h, wd = x.shape
-    if dt != F32 or STRICT_MATMUL != "c":
-        return _mm(w.reshape(co, -1), _im2col(x, s), dt).reshape(co, h // s, wd // s)
-    _check_conv2d(a, p)  # the kernel trusts these sizes
-    x = np.ascontiguousarray(x, dtype=F32)
-    w = np.ascontiguousarray(w, dtype=F32)
-    out = np.empty((co, h // s, wd // s), dtype=F32)
-    if _strict_conv3x3_f32(_address(x), _address(w), _address(out), c, h, wd, co, s):
-        raise MemoryError(f"strict conv2d: no buffer for a {c * 9}x32 panel")
+    out = _strict_kernel("strict_conv3x3_f32", x, w, (co, h // s, wd // s), c, h, wd, co, s)
+    if out is None:
+        out = _mm_loop(w.reshape(co, -1), _im2col(x, s)).reshape(co, h // s, wd // s)
     return out
 
 
-def _fwd_silu(a, p, dt):
+def _fwd_silu(a, p):
     sg = _sigmoid(a[0])
     return np.multiply(a[0], sg, out=sg)
 
 
-def _fwd_softmax_last(a, p, dt):
+def _fwd_softmax_last(a, p):
     x = a[0]
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _fwd_reshape(a, p, dt):
+def _fwd_reshape(a, p):
     return a[0].reshape(p["shape"])
 
 
-def _fwd_transpose2d(a, p, dt):
+def _fwd_transpose2d(a, p):
     return np.ascontiguousarray(a[0].T)
 
 
-def _fwd_take_flat(a, p, dt):
+def _fwd_take_flat(a, p):
     return a[0].reshape(-1)[p["idx"]].reshape(p["out_shape"])
 
 
-def _fwd_take_axis(a, p, dt):
+def _fwd_take_axis(a, p):
     return np.take(a[0], p["idx"], axis=p["axis"])
 
 
-def _fwd_lerp(a, p, dt):
-    out = np.multiply(a[0], dt(p["wa"]))
-    out += np.multiply(a[1], dt(p["wb"]))
+def _fwd_lerp(a, p):
+    out = np.multiply(a[0], a[0].dtype.type(p["wa"]))
+    out += np.multiply(a[1], a[1].dtype.type(p["wb"]))
     return out
 
 
-def _fwd_resample_cubic_axis(a, p, dt):
+def _fwd_resample_cubic_axis(a, p):
     ax = p["axis"]
     # With the axis leading, each tap gathers whole contiguous rows.
     x = np.ascontiguousarray(np.moveaxis(a[0], ax, 0))
     idx, w = _catmull_rom_taps(x.shape[0], p["factor"])
-    w = w.astype(dt, copy=False).reshape(w.shape + (1,) * (x.ndim - 1))
+    w = w.astype(x.dtype, copy=False).reshape(w.shape + (1,) * (x.ndim - 1))
 
     def tap(k):
         t = np.take(x, idx[k], axis=0)
@@ -316,23 +318,23 @@ def _fwd_resample_cubic_axis(a, p, dt):
     return np.ascontiguousarray(np.moveaxis(out, 0, ax))
 
 
-def _fwd_mean_axes(a, p, dt):
-    return a[0].mean(axis=p["axes"], keepdims=p["keepdims"], dtype=dt)
+def _fwd_mean_axes(a, p):
+    return a[0].mean(axis=p["axes"], keepdims=p["keepdims"])
 
 
-def _fwd_sum_all(a, p, dt):
-    return np.asarray(a[0].sum(dtype=dt), dtype=dt)
+def _fwd_sum_all(a, p):
+    return np.asarray(a[0].sum())
 
 
-def _fwd_mean_all(a, p, dt):
-    return np.asarray(a[0].mean(dtype=dt), dtype=dt)
+def _fwd_mean_all(a, p):
+    return np.asarray(a[0].mean())
 
 
-def _fwd_rsqrt_eps(a, p, dt):
-    return 1.0 / np.sqrt(a[0] + dt(p["eps"]))
+def _fwd_rsqrt_eps(a, p):
+    return 1.0 / np.sqrt(a[0] + a[0].dtype.type(p["eps"]))
 
 
-def _fwd_clip01(a, p, dt):
+def _fwd_clip01(a, p):
     return np.clip(a[0], 0.0, 1.0)
 
 
@@ -632,21 +634,13 @@ class GradTape:
         self.values.append(arr)
         return len(self.values) - 1
 
-    def _node_for(self, t):
-        if isinstance(t, Tensor):
-            if t.tape is self:
-                return t.node
-            if t.tape is not None:
-                raise ValueError("tensor belongs to a different tape")
-            return self._new_node(t.data)
-        return self._new_node(np.asarray(t, dtype=F32))
-
     def replay(self, overrides=None, dtype=F32):
         """Re-execute every record; returns the full node-value list.
 
         overrides maps node id -> replacement array for leaf/constant nodes.
-        dtype float64 gives a high-precision evaluation of the identical
-        computation, which finite-difference oracles use.
+        Each op checks its operands as a live op does, so a wrong-shaped
+        override raises.  dtype float64 gives a high-precision evaluation
+        of the identical computation, which finite-difference oracles use.
         """
         overrides = overrides or {}
         vals = [None] * len(self.values)
@@ -656,14 +650,11 @@ class GradTape:
                 src = overrides.get(i, v)
                 vals[i] = np.asarray(src, dtype=dtype)
         for rec in self.records:
-            op = _OPS[rec.op]
-            args = [vals[j] for j in rec.inputs]
-            vals[rec.out] = op.forward(args, rec.params, dtype)
+            vals[rec.out] = _OPS[rec.op]([vals[j] for j in rec.inputs], rec.params)
         return vals
 
 
 def _apply(op_name, inputs, **params):
-    op = _OPS[op_name]
     tape = None
     for t in inputs:
         if isinstance(t, Tensor) and t.tape is not None:
@@ -671,12 +662,12 @@ def _apply(op_name, inputs, **params):
                 raise ValueError("operands come from different tapes")
             tape = t.tape
     arrays = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=F32) for t in inputs]
-    if op.check is not None:
-        op.check(arrays, params)
-    out = op.forward(arrays, params, F32)
+    out = _OPS[op_name](arrays, params)
     if tape is None:
         return Tensor(out)
-    ids = [tape._node_for(t) for t in inputs]
+    # Every tensor on a tape is on this one; anything else joins it as the array converted above.
+    ids = [t.node if isinstance(t, Tensor) and t.tape is tape else tape._new_node(arr)
+           for t, arr in zip(inputs, arrays)]
     out_id = tape._new_node(out)
     tape.records.append(_Record(op_name, ids, params, out_id))
     return Tensor(out, tape, out_id)
@@ -732,13 +723,21 @@ def transpose2d(x):
     return _apply("transpose2d", (x,))
 
 
+def _int_index(idx, op):
+    """idx copied to an intp array the tape owns; float, bool and object indices raise (not an empty list)."""
+    arr = np.asarray(idx)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise IndexError(f"{op}: indices must be integers, got dtype {arr.dtype}")
+    return np.array(arr, dtype=np.intp)
+
+
 def take_flat(x, idx, out_shape):
     """Gather from the flattened input by integer index."""
-    return _apply("take_flat", (x,), idx=np.asarray(idx, dtype=np.intp), out_shape=tuple(out_shape))
+    return _apply("take_flat", (x,), idx=_int_index(idx, "take_flat"), out_shape=tuple(out_shape))
 
 
 def take_axis(x, idx, axis):
-    return _apply("take_axis", (x,), idx=np.asarray(idx, dtype=np.intp), axis=operator.index(axis))
+    return _apply("take_axis", (x,), idx=_int_index(idx, "take_axis"), axis=operator.index(axis))
 
 
 def mean_axes(x, axes, keepdims=True):
@@ -855,8 +854,6 @@ def grad(loss, leaves):
         args = [tape.values[j] for j in rec.inputs]
         grads = op.vjp(args, rec.params, tape.values[rec.out], g)
         for j, gj in zip(rec.inputs, grads):
-            if gj is None:
-                continue
             if j in adjoint:
                 adjoint[j] = adjoint[j] + gj
             else:

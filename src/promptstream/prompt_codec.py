@@ -8,6 +8,7 @@ on the wire as fixed-width uniform-quantized codes (no entropy coding).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -126,8 +127,12 @@ def interpolate(group: PromptGroup, i: int):
     One nm.lerp of the keyframes' cached matrices, so the bytes are float32
     a*(1-a_i) + b*a_i with a = compose(kf_a) and b = compose(kf_b). The
     returned frame is a new, writable array that shares no memory with
-    the cache.
+    the cache. i must be an integer (a numpy integer too, not a bool or a
+    float): TypeError otherwise.
     """
+    if isinstance(i, bool):
+        raise TypeError(f"frame index must be an integer, got {i!r}")
+    i = operator.index(i)
     if not 0 <= i < group.group_len:
         raise IndexError(f"frame index {i} outside group of length {group.group_len}")
     return nm.lerp(group.keyframe_a.matrix, group.keyframe_b.matrix, group.alphas[i]).data

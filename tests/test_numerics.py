@@ -58,7 +58,7 @@ def krandf(*shape, lo=-1.0, hi=1.0):
 
 def loop_product(a, b):
     """The numpy strict-order loop that the C kernel must match byte for byte."""
-    return nm._mm_loop(np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32), np.float32)
+    return nm._mm_loop(np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32))
 
 
 def assert_same_bytes(a, b):
@@ -237,7 +237,7 @@ class TestStrictKernel:
         out = nm.conv2d(x, w, stride=2)
         assert tape.replay()[out.node].tobytes() == out.data.tobytes()
         x64, w64 = x.data.astype(np.float64), w.data.astype(np.float64)
-        want = nm._mm_loop(w64.reshape(4, -1), nm._im2col(x64, 2), np.float64).reshape(4, 4, 4)
+        want = nm._mm_loop(w64.reshape(4, -1), nm._im2col(x64, 2)).reshape(4, 4, 4)
         got = tape.replay(dtype=np.float64)[out.node]
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
@@ -246,8 +246,7 @@ class TestStrictKernel:
         x, w = krandf(8, 12, 12), krandf(4, 8, 3, 3)
         kernel = nm.matmul(a, b).data, nm.conv2d(x, w).data
         monkeypatch.setattr(nm, "STRICT_MATMUL", "numpy")
-        monkeypatch.setattr(nm, "_strict_mm_f32", None)  # the loop must not reach it
-        monkeypatch.setattr(nm, "_strict_conv3x3_f32", None)
+        monkeypatch.setattr(nm, "_dll", None)  # the loop must not reach the kernel
         assert nm.matmul(a, b).data.tobytes() == kernel[0].tobytes()
         assert nm.conv2d(x, w).data.tobytes() == kernel[1].tobytes()
 
@@ -429,6 +428,50 @@ class TestTapeReplay:
         assert np.array_equal(nm.conv2d(x, w).data, nm.conv2d(x, w).data)
 
 
+def record_every_op(tape, rng):
+    """Run each op of nm._OPS at least once on tape, from leaves drawn from rng; returns the outputs."""
+    x, y = tape.leaf(randf(4, 6, rng=rng)), tape.leaf(randf(4, 6, rng=rng))
+    w = tape.leaf(randf(6, 3, rng=rng))
+    img, k = tape.leaf(randf(2, 4, 4, rng=rng)), tape.leaf(randf(3, 2, 3, 3, rng=rng))
+    return [nm.add(x, y), nm.sub(x, y), -x, nm.matmul(x, w), nm.conv2d(img, k, stride=2),
+            nm.silu(x), nm.softmax_last(x), nm.reshape(x, (6, 4)), nm.transpose2d(x),
+            nm.take_flat(x, [0, 5, 23], (3,)), nm.take_axis(x, [3, 0, 3], 0), nm.lerp(x, y, 0.3),
+            nm.resample_cubic_axis(img, 2, 1), nm.mean_axes(x, (1,)), nm.sum_all(x), nm.mean_all(x),
+            nm.rsqrt_eps(nm.mul(x, x)), nm.clip01(x)]
+
+
+# op, its operands' shapes, the operand replaced in replay and the wrong shape put in
+BAD_OVERRIDES = {
+    "matmul": (nm.matmul, [(3, 5), (5, 2)], 0, (3, 4)),
+    "conv2d": (nm.conv2d, [(3, 4, 4), (2, 3, 3, 3)], 0, (4, 4, 4)),
+    "lerp": (lambda a, b: nm.lerp(a, b, 0.5), [(3, 4), (3, 4)], 1, (1, 4)),
+}
+
+
+class TestOneDriver:
+    """Live ops and replay run each op through the same check-then-forward call."""
+
+    def test_replay_runs_every_op(self):
+        tape = GradTape()
+        record_every_op(tape, np.random.default_rng(20261101))
+        assert {rec.op for rec in tape.records} == set(nm._OPS)  # a new op needs a call in record_every_op
+        for got, want in zip(tape.replay(), tape.values, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert all(v.dtype == np.float64 for v in tape.replay(dtype=np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", list(BAD_OVERRIDES))
+    def test_wrong_shaped_override_raises(self, op, dtype):
+        fn, shapes, which, bad = BAD_OVERRIDES[op]
+        rng = np.random.default_rng(20261102)
+        tape = GradTape()
+        leaves = [tape.leaf(randf(*s, rng=rng)) for s in shapes]
+        fn(*leaves)
+        with pytest.raises(ShapeMismatchError, match=op):
+            tape.replay({leaves[which].node: randf(*bad, rng=rng)}, dtype=dtype)
+
+
 class TestLerp:
     @pytest.mark.parametrize("alpha", [0.0, 1 / 29, 0.3, 0.5, 28 / 29, 1.0])
     def test_bytes_equal_float32_mul_mul_add(self, alpha):
@@ -471,6 +514,36 @@ class TestGather:
     def test_take_flat_rejects_index_out_of_range(self, idx):
         with pytest.raises(IndexError, match="take_flat"):
             nm.take_flat(randf(3, 4), idx, (1,))
+
+    @pytest.mark.parametrize("idx", [[1.7], np.array([1.0, 2.0]), [True, False], np.array([1, 2], dtype=object)])
+    def test_non_integer_indices_rejected(self, idx):
+        x = np.zeros((4, 3, 3), np.float32)
+        with pytest.raises(IndexError, match="take_flat.*integers"):
+            nm.take_flat(x, idx, (len(idx),))
+        with pytest.raises(IndexError, match="take_axis.*integers"):
+            nm.take_axis(x, idx, 0)
+
+    def test_empty_list_gathers_nothing(self):
+        x = np.zeros((4, 3, 3), np.float32)
+        assert nm.take_flat(x, [], (0,)).shape == (0,)
+        assert nm.take_axis(x, [], 0).shape == (0, 3, 3)
+
+    def test_tape_keeps_its_own_indices(self):
+        tape = GradTape()
+        x = tape.leaf(np.arange(6, dtype=np.float32))
+        idx = np.array([0, 1], dtype=np.intp)
+        y = nm.take_flat(x, idx, (2,))
+        idx[0] = 4  # the caller reuses its array
+        assert tape.replay()[y.node].tolist() == [0.0, 1.0]
+        (g,) = nm.grad(nm.sum_all(y), [x])
+        assert g.data.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_numpy_integer_indices_accepted(self):
+        x = np.arange(36, dtype=np.float32).reshape(4, 3, 3)
+        for dtype in (np.int8, np.uint16, np.int64):
+            idx = np.array([3, 1], dtype=dtype)
+            assert nm.take_flat(x, idx, (2,)).data.tolist() == [3.0, 1.0]
+            assert np.array_equal(nm.take_axis(x, idx, 0).data, x[[3, 1]])
 
 
 class TestArgumentChecks:

@@ -78,6 +78,26 @@ class TestInterpolate:
             pc.PromptGroup(rand_prompt(rank=4), rand_prompt(rank=8), 5)
 
 
+class TestFrameIndex:
+    """interpolate's frame index; the groups come from their own generators, not RNG."""
+
+    @staticmethod
+    def group(seed):
+        rng = np.random.default_rng(seed)
+        return pc.PromptGroup(pc.random_prompt(2, 8, rng), pc.random_prompt(2, 8, rng), group_len=5)
+
+    @pytest.mark.parametrize("i", [True, False, 1.0, 2.5])
+    def test_non_integer_index_rejected(self, i):
+        with pytest.raises(TypeError, match="frame index must be|cannot be interpreted as an integer"):
+            pc.interpolate(self.group(81), i)
+
+    def test_numpy_integer_index_accepted(self):
+        group = self.group(82)
+        assert pc.interpolate(group, np.int64(3)).tobytes() == pc.interpolate(group, 3).tobytes()
+        with pytest.raises(IndexError):
+            pc.interpolate(group, np.int32(5))
+
+
 class TestKeyframeCache:
     def test_compose_runs_once_per_keyframe(self, monkeypatch):
         calls = []
