@@ -25,7 +25,7 @@ them can switch on flush-to-zero for the whole process.  -march=native
 ties the object to the host, so it is cached per user under
 tempfile.gettempdir(), keyed by a hash of the source and the flags.
 
-Tensors are immutable once produced; a tape is confined to one thread.
+No op writes to a Tensor's array; a tape is confined to one thread.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def _fwd_resample_cubic_axis(a, p):
 
 
 def _fwd_mean_axes(a, p):
-    return a[0].mean(axis=p["axes"], keepdims=p["keepdims"])
+    return a[0].mean(axis=p["axes"], keepdims=True)
 
 
 def _fwd_sum_all(a, p):
@@ -413,20 +413,18 @@ def _vjp_lerp(a, p, out, g):
 
 
 def _vjp_resample_cubic_axis(a, p, out, g):
-    x, ax = a[0], p["axis"]
-    n = x.shape[ax]
-    idx, w = _catmull_rom_taps(n, p["factor"])
-    g = np.moveaxis(g, ax, 0)
-    w = w.reshape(w.shape + (1,) * (g.ndim - 1))
-    # Each tap scatters from zero in output order, as take_axis's vjp does,
-    # and the taps are summed last to first, the order in which grad sums
-    # four separate take records: the bytes of the take/mul/add composite.
+    ax = p["axis"]
+    idx, w = _catmull_rom_taps(a[0].shape[ax], p["factor"])
+    wshape = [1] * g.ndim
+    wshape[ax] = -1
+    # Each tap is take_axis's vjp of g*w[k], and the taps are summed last to
+    # first, the order in which grad sums four separate take records: the
+    # bytes of the take/mul/add composite.
     dx = None
     for k in (3, 2, 1, 0):
-        dk = np.zeros((n,) + g.shape[1:], dtype=x.dtype)
-        np.add.at(dk, idx[k], g * w[k])
+        (dk,) = _vjp_take_axis(a, {"idx": idx[k], "axis": ax}, None, g * w[k].reshape(wshape))
         dx = dk if dx is None else np.add(dx, dk, out=dx)
-    return (np.ascontiguousarray(np.moveaxis(dx, 0, ax)),)
+    return (dx,)
 
 
 def _vjp_mean_axes(a, p, out, g):
@@ -435,8 +433,6 @@ def _vjp_mean_axes(a, p, out, g):
     n = 1
     for ax in axes:
         n *= x.shape[ax]
-    if not p["keepdims"]:
-        g = np.expand_dims(g, axes)
     return (np.broadcast_to(g, x.shape).astype(x.dtype) / x.dtype.type(n),)
 
 
@@ -550,7 +546,7 @@ _OPS = {
 # ---------------------------------------------------------------------------
 
 class Tensor:
-    """Immutable float32 array, optionally attached to a GradTape node."""
+    """Float32 array, optionally on a GradTape node; kept without a copy (GradTape.leaf copies)."""
 
     __slots__ = ("data", "tape", "node")
 
@@ -564,39 +560,14 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, tracked={self.tape is not None})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __neg__(self):
         return _apply("neg", (self,))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Record:
@@ -614,41 +585,40 @@ class GradTape:
 
     Node values are kept so the recorded computation can be re-executed
     (optionally at float64) and so vjp closures can read their operands.
+    inputs holds the ids of the nodes no op produced: leaves, which are
+    copies, and operands that are not Tensors, referenced and not copied.
     """
 
     def __init__(self):
         self.values = []
         self.records = []
+        self.inputs = []
 
     def leaf(self, data) -> Tensor:
-        """Register a trainable input; grad() can differentiate w.r.t. it."""
-        arr = np.asarray(data, dtype=F32)
-        nid = self._new_node(arr)
-        return Tensor(arr, self, nid)
+        """Register a copy of data as an input; grad() can differentiate w.r.t. it."""
+        arr = np.array(data, dtype=F32)
+        return Tensor(arr, self, self._input(arr))
 
-    def constant(self, data) -> Tensor:
-        """Register a fixed input (participates in replay, can be graded too)."""
-        return self.leaf(data)
-
-    def _new_node(self, arr):
+    def _input(self, arr):
+        self.inputs.append(len(self.values))
         self.values.append(arr)
-        return len(self.values) - 1
+        return self.inputs[-1]
 
     def replay(self, overrides=None, dtype=F32):
         """Re-execute every record; returns the full node-value list.
 
-        overrides maps node id -> replacement array for leaf/constant nodes.
-        Each op checks its operands as a live op does, so a wrong-shaped
-        override raises.  dtype float64 gives a high-precision evaluation
-        of the identical computation, which finite-difference oracles use.
+        overrides maps an input's node id -> replacement array; another id
+        raises ValueError, and so does a wrong-shaped array, as each op checks
+        its operands as a live op does.  dtype float64 gives a high-precision
+        evaluation of the identical computation, for finite-difference oracles.
         """
         overrides = overrides or {}
+        bad = [i for i in overrides if i not in self.inputs]
+        if bad:
+            raise ValueError(f"replay: nodes {bad} are not inputs of this tape")
         vals = [None] * len(self.values)
-        produced = {rec.out for rec in self.records}
-        for i, v in enumerate(self.values):
-            if i not in produced:
-                src = overrides.get(i, v)
-                vals[i] = np.asarray(src, dtype=dtype)
+        for i in self.inputs:
+            vals[i] = np.asarray(overrides.get(i, self.values[i]), dtype=dtype)
         for rec in self.records:
             vals[rec.out] = _OPS[rec.op]([vals[j] for j in rec.inputs], rec.params)
         return vals
@@ -666,9 +636,10 @@ def _apply(op_name, inputs, **params):
     if tape is None:
         return Tensor(out)
     # Every tensor on a tape is on this one; anything else joins it as the array converted above.
-    ids = [t.node if isinstance(t, Tensor) and t.tape is tape else tape._new_node(arr)
+    ids = [t.node if isinstance(t, Tensor) and t.tape is tape else tape._input(arr)
            for t, arr in zip(inputs, arrays)]
-    out_id = tape._new_node(out)
+    out_id = len(tape.values)
+    tape.values.append(out)
     tape.records.append(_Record(op_name, ids, params, out_id))
     return Tensor(out, tape, out_id)
 
@@ -736,12 +707,19 @@ def take_flat(x, idx, out_shape):
     return _apply("take_flat", (x,), idx=_int_index(idx, "take_flat"), out_shape=tuple(out_shape))
 
 
+def index_arg(value, what):
+    """value as an int; TypeError for a bool (operator.index(True) is 1) or a non-integer."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def take_axis(x, idx, axis):
-    return _apply("take_axis", (x,), idx=_int_index(idx, "take_axis"), axis=operator.index(axis))
+    return _apply("take_axis", (x,), idx=_int_index(idx, "take_axis"), axis=index_arg(axis, "take_axis: axis"))
 
 
-def mean_axes(x, axes, keepdims=True):
-    return _apply("mean_axes", (x,), axes=tuple(axes), keepdims=keepdims)
+def mean_axes(x, axes):
+    return _apply("mean_axes", (x,), axes=tuple(axes))
 
 
 def sum_all(x):
@@ -784,9 +762,9 @@ def group_norm(x, gamma, beta, groups=4, eps=1e-5):
     if c % groups:
         raise _shape_error("group_norm", (c, h, w), (groups,))
     xg = reshape(x, (groups, (c // groups) * h * w))
-    mu = mean_axes(xg, (1,), keepdims=True)
+    mu = mean_axes(xg, (1,))
     cen = sub(xg, mu)
-    var = mean_axes(mul(cen, cen), (1,), keepdims=True)
+    var = mean_axes(mul(cen, cen), (1,))
     y = mul(cen, rsqrt_eps(var, eps))
     y = reshape(y, (c, h, w))
     return add(mul(y, reshape(gamma, (c, 1, 1))), reshape(beta, (c, 1, 1)))
@@ -799,7 +777,7 @@ def resample_cubic_axis(x, factor, axis):
     and sums (t0*w0 + t1*w1) + (t2*w2 + t3*w3) in float32, with float32
     weights. See upsample_cubic.
     """
-    return _apply("resample_cubic_axis", (x,), factor=factor, axis=operator.index(axis))
+    return _apply("resample_cubic_axis", (x,), factor=factor, axis=index_arg(axis, "resample_cubic_axis: axis"))
 
 
 def upsample_cubic(x, factor, axes=(0, 1)):

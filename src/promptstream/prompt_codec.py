@@ -8,7 +8,6 @@ on the wire as fixed-width uniform-quantized codes (no entropy coding).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -130,9 +129,7 @@ def interpolate(group: PromptGroup, i: int):
     the cache. i must be an integer (a numpy integer too, not a bool or a
     float): TypeError otherwise.
     """
-    if isinstance(i, bool):
-        raise TypeError(f"frame index must be an integer, got {i!r}")
-    i = operator.index(i)
+    i = nm.index_arg(i, "frame index")
     if not 0 <= i < group.group_len:
         raise IndexError(f"frame index {i} outside group of length {group.group_len}")
     return nm.lerp(group.keyframe_a.matrix, group.keyframe_b.matrix, group.alphas[i]).data
@@ -180,6 +177,9 @@ def quantize(m, q=DEFAULT_Q) -> QuantizedMatrix:
 def dequantize(qm: QuantizedMatrix):
     """Exact float64 reconstruction levels (c - half) * scale.
 
+    quantize codes an all-zero matrix as 2^(q-1) = half + 0.5 with scale 0,
+    so every level is +0.0.
+
     The levels are not rounded to float32 here: that rounding can move a
     level past the scale/2 bound. compose rounds them once, when a
     LowRankPrompt built from them is multiplied out.
@@ -188,8 +188,6 @@ def dequantize(qm: QuantizedMatrix):
     levels = (1 << qm.q) - 1
     if qm.codes.size and (qm.codes.min() < 0 or qm.codes.max() > levels):
         raise ValueError(f"dequantize: codes outside [0, {levels}] for q={qm.q}")
-    if qm.scale == 0.0:
-        return np.zeros(qm.shape, dtype=np.float64)
     vals = (qm.codes.astype(np.float64) - levels / 2.0) * qm.scale
     return vals.reshape(qm.shape)
 

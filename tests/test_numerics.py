@@ -335,7 +335,7 @@ def loss_through(op, *leaf_arrays, builder=None):
     tape = GradTape()
     leaves = [tape.leaf(a) for a in leaf_arrays]
     out = builder(*leaves) if builder else op(*leaves)
-    r = tape.constant(RNG.standard_normal(out.shape).astype(np.float32))
+    r = tape.leaf(RNG.standard_normal(out.shape).astype(np.float32))
     return nm.sum_all(nm.mul(out, r)), leaves
 
 
@@ -354,7 +354,7 @@ PRIMITIVE_CASES = [
     ("softmax", lambda a: nm.softmax_last(a), [(4, 7)]),
     ("reshape", lambda a: nm.reshape(a, (6, 2)), [(3, 4)]),
     ("transpose", lambda a: nm.transpose2d(a), [(3, 5)]),
-    ("mean_axes", lambda a: nm.mean_axes(a, (1,), keepdims=True), [(3, 8)]),
+    ("mean_axes", lambda a: nm.mean_axes(a, (1,)), [(3, 8)]),
     ("sum_all", lambda a: nm.sum_all(a), [(4, 4)]),
     ("mean_all", lambda a: nm.mean_all(a), [(4, 4)]),
 ]
@@ -472,6 +472,39 @@ class TestOneDriver:
             tape.replay({leaves[which].node: randf(*bad, rng=rng)}, dtype=dtype)
 
 
+class TestTapeInputs:
+    """A tape owns its leaves, and replay overrides only the nodes no op produced."""
+
+    def test_leaf_keeps_its_own_copy(self):
+        tape = GradTape()
+        a = np.ones(3, np.float32)
+        x = tape.leaf(a)
+        y = nm.sum_all(nm.mul(x, x))
+        a[0] = 7.0  # the caller reuses its array
+        assert x.data.tolist() == [1.0, 1.0, 1.0]
+        assert tape.replay()[y.node].tolist() == 3.0
+        (g,) = nm.grad(y, [x])
+        assert g.data.tolist() == [2.0, 2.0, 2.0]
+
+    def test_inputs_are_leaves_and_foreign_operands(self):
+        tape = GradTape()
+        x = tape.leaf(np.ones(3, np.float32))
+        y = nm.mul(x, np.full(3, 2.0, np.float32))
+        c = tape.records[-1].inputs[1]
+        assert tape.inputs == [x.node, c]
+        assert tape.replay({c: np.full(3, 5.0)})[y.node].tolist() == [5.0, 5.0, 5.0]
+
+    @pytest.mark.parametrize("which", ["produced", "unknown"])
+    def test_override_of_a_non_input_raises(self, which):
+        tape = GradTape()
+        x = tape.leaf(np.array([1.0, 2.0, 3.0], np.float32))
+        y = nm.mul(x, x)
+        nm.sum_all(y)
+        node = y.node if which == "produced" else 99
+        with pytest.raises(ValueError, match=rf"replay: nodes \[{node}\]"):
+            tape.replay({x.node: np.zeros(3), node: np.full(3, 5.0)})
+
+
 class TestLerp:
     @pytest.mark.parametrize("alpha", [0.0, 1 / 29, 0.3, 0.5, 28 / 29, 1.0])
     def test_bytes_equal_float32_mul_mul_add(self, alpha):
@@ -507,8 +540,9 @@ class TestGather:
             nm.take_axis(randf(2, 3), idx, 1)
 
     def test_take_axis_rejects_float_axis(self):
-        with pytest.raises(TypeError):
-            nm.take_axis(randf(2, 3, rng=np.random.default_rng(78)), [0], 1.7)
+        for axis in (1.7, True):
+            with pytest.raises(TypeError):
+                nm.take_axis(randf(2, 3, rng=np.random.default_rng(78)), [0], axis)
 
     @pytest.mark.parametrize("idx", [[-1], [12]])
     def test_take_flat_rejects_index_out_of_range(self, idx):
@@ -761,7 +795,7 @@ class TestResampleCubicAxis:
         tape = GradTape()
         leaf = tape.leaf(x)
         out = nm.resample_cubic_axis(leaf, factor, axis)
-        r = tape.constant(rng.standard_normal(out.shape).astype(np.float32))
+        r = tape.leaf(rng.standard_normal(out.shape).astype(np.float32))
         check_grad(nm.sum_all(nm.mul(out, r)), [leaf], tol=1e-4)
 
     @pytest.mark.parametrize("factor", [2.5, 2.0, 0, -1, True, "2"])
@@ -785,5 +819,8 @@ class TestResampleCubicAxis:
             nm.resample_cubic_axis(np.zeros((4, 4, 3), np.float32), 2, axis)
 
     def test_float_axis_rejected(self):
-        with pytest.raises(TypeError):
-            nm.resample_cubic_axis(np.zeros((4, 4, 3), np.float32), 2, 1.5)
+        for axis in (1.5, True):
+            with pytest.raises(TypeError):
+                nm.resample_cubic_axis(np.zeros((4, 4, 3), np.float32), 2, axis)
+            with pytest.raises(TypeError):
+                nm.upsample_cubic(np.zeros((4, 4, 3), np.float32), 2, axes=(axis,))

@@ -29,3 +29,18 @@ def test_kernel_source_is_package_data():
     assert nm.STRICT_MM_SOURCE.name in data
     assert nm.STRICT_MM_SOURCE.is_file()
     assert nm.STRICT_MM_SOURCE.parent == Path(nm.__file__).parent
+
+
+def test_names_the_benchmark_wraps_exist():
+    """Every public name perfbench/tracing.py wraps exists, so deleting one fails here."""
+    from promptstream import numerics as nm
+    from promptstream import prompt_codec as pc
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PYPROJECT.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"numerics.{n}" for n in tracing.PRIMITIVES + tracing.COMPOSITES if not hasattr(nm, n)]
+    missing += [f"prompt_codec.{n}" for n in tracing.CODEC if not hasattr(pc, n)]
+    if "__neg__" not in vars(nm.Tensor):
+        missing.append("numerics.Tensor.__neg__")
+    assert not missing, f"perfbench/tracing.py wraps {missing}, which do not exist"

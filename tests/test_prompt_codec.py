@@ -169,6 +169,11 @@ class TestQuantizer:
         assert out.dtype == np.float64
         assert np.array_equal(out, np.zeros((5, 4), np.float32))
 
+    @pytest.mark.parametrize("q", [1, 12, pc.MAX_Q])
+    def test_zero_matrix_dequantizes_to_positive_zero(self, q):
+        out = pc.dequantize(pc.quantize(np.zeros((5, 4), np.float32), q))
+        assert out.tobytes() == np.zeros((5, 4), np.float64).tobytes()
+
     def test_three_level_bound(self):
         m = np.array([[-1.0, 0.0, 1.0]], np.float32)
         qm = pc.quantize(m, q=12)
