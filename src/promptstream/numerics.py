@@ -214,7 +214,7 @@ class _Op:
 
     def __init__(self, forward, vjp, check=None):
         self.forward = forward  # (arrays, params) -> array at the arrays' dtype; trusts the check
-        self.vjp = vjp          # (arrays, params, out, g) -> per-input grads
+        self.vjp = vjp          # (arrays, params, out, g, needs) -> per-input grads, None where not needed
         self.check = check      # (arrays, params) -> None; raises on bad operands
 
     def __call__(self, arrays, params):
@@ -338,36 +338,50 @@ def _fwd_clip01(a, p):
     return np.clip(a[0], 0.0, 1.0)
 
 
-def _vjp_add(a, p, out, g):
-    return _unbroadcast(g, a[0].shape), _unbroadcast(g, a[1].shape)
+# Each vjp returns one cotangent per input.  needs[i] says whether input i
+# leads to a leaf grad() was asked about; the vjps of the ops with two inputs
+# return None for an input that does not.  A unary op's input is needed
+# exactly when the vjp runs, so those ignore needs.  g may be a read-only
+# broadcast view (the reductions' cotangents are): no vjp writes to it.
+
+def _vjp_add(a, p, out, g, needs):
+    return (_unbroadcast(g, a[0].shape) if needs[0] else None,
+            _unbroadcast(g, a[1].shape) if needs[1] else None)
 
 
-def _vjp_sub(a, p, out, g):
-    return _unbroadcast(g, a[0].shape), _unbroadcast(-g, a[1].shape)
+def _vjp_sub(a, p, out, g, needs):
+    return (_unbroadcast(g, a[0].shape) if needs[0] else None,
+            _unbroadcast(-g, a[1].shape) if needs[1] else None)
 
 
-def _vjp_mul(a, p, out, g):
-    return _unbroadcast(g * a[1], a[0].shape), _unbroadcast(g * a[0], a[1].shape)
+def _vjp_mul(a, p, out, g, needs):
+    return (_unbroadcast(g * a[1], a[0].shape) if needs[0] else None,
+            _unbroadcast(g * a[0], a[1].shape) if needs[1] else None)
 
 
-def _vjp_neg(a, p, out, g):
+def _vjp_neg(a, p, out, g, needs):
     return (-g,)
 
 
-def _vjp_matmul(a, p, out, g):
+def _vjp_matmul(a, p, out, g, needs):
     # Backward order is unconstrained; BLAS matmul is deterministic in-build.
-    return np.matmul(g, a[1].T), np.matmul(a[0].T, g)
+    # Its path depends on the strides, and a stride-0 g can give other bytes,
+    # so a broadcast g is expanded first: the bytes of a dense g.
+    g = np.ascontiguousarray(g)
+    return (np.matmul(g, a[1].T) if needs[0] else None,
+            np.matmul(a[0].T, g) if needs[1] else None)
 
 
-def _vjp_conv2d(a, p, out, g):
+def _vjp_conv2d(a, p, out, g, needs):
     x, w = a
     s = p["stride"]
     co = w.shape[0]
     c, h, wd = x.shape
     ho, wo = h // s, wd // s
-    cols = _im2col(x, s)
-    gf = g.reshape(co, -1)
-    dw = np.matmul(gf, cols.T).reshape(w.shape)
+    gf = np.ascontiguousarray(g).reshape(co, -1)  # see _vjp_matmul
+    dw = np.matmul(gf, _im2col(x, s).T).reshape(w.shape) if needs[1] else None
+    if not needs[0]:
+        return None, dw
     dcols = np.matmul(w.reshape(co, -1).T, gf).reshape(c, 3, 3, ho, wo)
     dxp = np.zeros((c, h + 2, wd + 2), dtype=x.dtype)
     for dy in range(3):
@@ -376,31 +390,31 @@ def _vjp_conv2d(a, p, out, g):
     return dxp[:, 1:h + 1, 1:wd + 1], dw
 
 
-def _vjp_silu(a, p, out, g):
+def _vjp_silu(a, p, out, g, needs):
     sg = _sigmoid(a[0])
     return (g * (sg * (1.0 + a[0] * (1.0 - sg))),)
 
 
-def _vjp_softmax_last(a, p, out, g):
+def _vjp_softmax_last(a, p, out, g, needs):
     dot = (g * out).sum(axis=-1, keepdims=True)
     return (out * (g - dot),)
 
 
-def _vjp_reshape(a, p, out, g):
+def _vjp_reshape(a, p, out, g, needs):
     return (g.reshape(a[0].shape),)
 
 
-def _vjp_transpose2d(a, p, out, g):
+def _vjp_transpose2d(a, p, out, g, needs):
     return (np.ascontiguousarray(g.T),)
 
 
-def _vjp_take_flat(a, p, out, g):
-    dx = np.zeros(a[0].size, dtype=a[0].dtype)
-    np.add.at(dx, p["idx"], g.reshape(-1))
-    return (dx.reshape(a[0].shape),)
+def _vjp_take_flat(a, p, out, g, needs):
+    dx = np.zeros(a[0].shape, dtype=a[0].dtype)
+    np.add.at(dx.reshape(-1), p["idx"], g.reshape(-1))
+    return (dx,)
 
 
-def _vjp_take_axis(a, p, out, g):
+def _vjp_take_axis(a, p, out, g, needs):
     ax = p["axis"]
     dx = np.zeros(a[0].shape, dtype=a[0].dtype)
     dxm = np.moveaxis(dx, ax, 0)
@@ -408,11 +422,11 @@ def _vjp_take_axis(a, p, out, g):
     return (dx,)
 
 
-def _vjp_lerp(a, p, out, g):
-    return g * p["wa"], g * p["wb"]
+def _vjp_lerp(a, p, out, g, needs):
+    return g * p["wa"] if needs[0] else None, g * p["wb"] if needs[1] else None
 
 
-def _vjp_resample_cubic_axis(a, p, out, g):
+def _vjp_resample_cubic_axis(a, p, out, g, needs):
     ax = p["axis"]
     idx, w = _catmull_rom_taps(a[0].shape[ax], p["factor"])
     wshape = [1] * g.ndim
@@ -422,33 +436,33 @@ def _vjp_resample_cubic_axis(a, p, out, g):
     # bytes of the take/mul/add composite.
     dx = None
     for k in (3, 2, 1, 0):
-        (dk,) = _vjp_take_axis(a, {"idx": idx[k], "axis": ax}, None, g * w[k].reshape(wshape))
+        (dk,) = _vjp_take_axis(a, {"idx": idx[k], "axis": ax}, None, g * w[k].reshape(wshape), needs)
         dx = dk if dx is None else np.add(dx, dk, out=dx)
     return (dx,)
 
 
-def _vjp_mean_axes(a, p, out, g):
+# The reductions' cotangents are broadcast views: they allocate nothing.
+def _vjp_mean_axes(a, p, out, g, needs):
     x = a[0]
-    axes = p["axes"]
     n = 1
-    for ax in axes:
+    for ax in p["axes"]:
         n *= x.shape[ax]
-    return (np.broadcast_to(g, x.shape).astype(x.dtype) / x.dtype.type(n),)
+    return (np.broadcast_to(g / x.dtype.type(n), x.shape),)
 
 
-def _vjp_sum_all(a, p, out, g):
-    return (np.full(a[0].shape, g, dtype=a[0].dtype),)
+def _vjp_sum_all(a, p, out, g, needs):
+    return (np.broadcast_to(g, a[0].shape),)
 
 
-def _vjp_mean_all(a, p, out, g):
-    return (np.full(a[0].shape, g / a[0].dtype.type(a[0].size), dtype=a[0].dtype),)
+def _vjp_mean_all(a, p, out, g, needs):
+    return (np.broadcast_to(g / a[0].dtype.type(a[0].size), a[0].shape),)
 
 
-def _vjp_rsqrt_eps(a, p, out, g):
+def _vjp_rsqrt_eps(a, p, out, g, needs):
     return (g * (-0.5) * out * out * out,)
 
 
-def _vjp_clip01(a, p, out, g):
+def _vjp_clip01(a, p, out, g, needs):
     x = a[0]
     return (g * ((x > 0.0) & (x < 1.0)),)
 
@@ -585,8 +599,8 @@ class GradTape:
 
     Node values are kept so the recorded computation can be re-executed
     (optionally at float64) and so vjp closures can read their operands.
-    inputs holds the ids of the nodes no op produced: leaves, which are
-    copies, and operands that are not Tensors, referenced and not copied.
+    inputs holds the ids of the nodes no op produced: leaves and the
+    operands that are not Tensors.  The tape keeps its own copy of both.
     """
 
     def __init__(self):
@@ -635,8 +649,10 @@ def _apply(op_name, inputs, **params):
     out = _OPS[op_name](arrays, params)
     if tape is None:
         return Tensor(out)
-    # Every tensor on a tape is on this one; anything else joins it as the array converted above.
-    ids = [t.node if isinstance(t, Tensor) and t.tape is tape else tape._input(arr)
+    # Every tensor on a tape is on this one; anything else joins it as a copy
+    # of the array converted above, so a caller's later write to its own
+    # array changes neither replay() nor grad().  Untracked ops copy nothing.
+    ids = [t.node if isinstance(t, Tensor) and t.tape is tape else tape._input(arr.copy())
            for t, arr in zip(inputs, arrays)]
     out_id = len(tape.values)
     tape.values.append(out)
@@ -814,7 +830,15 @@ def upsample_nearest(x, factor, axes=(0, 1)):
 
 
 def grad(loss, leaves):
-    """Gradient of a scalar tape output with respect to each leaf tensor."""
+    """Gradient of a scalar tape output with respect to each leaf tensor.
+
+    Only the ops whose output depends on a requested leaf get a cotangent,
+    and of their inputs only those that lead to such a leaf: one forward
+    pass over the records marks those nodes live, and every vjp is told
+    which of its inputs are.  Each returned gradient is a fresh, writable,
+    C-contiguous float32 array that the caller owns: it shares memory with
+    no other returned gradient and no tape value.
+    """
     if not isinstance(loss, Tensor) or loss.tape is None:
         raise UnknownLeafError("loss is not attached to a tape")
     if loss.data.shape != ():
@@ -823,23 +847,35 @@ def grad(loss, leaves):
     for lf in leaves:
         if not isinstance(lf, Tensor) or lf.tape is not tape or lf.node is None:
             raise UnknownLeafError("leaf is not registered on this tape")
+    live = {lf.node for lf in leaves}
+    for rec in tape.records:
+        if any(j in live for j in rec.inputs):
+            live.add(rec.out)
     adjoint = {loss.node: np.ones((), dtype=F32)}
     for rec in reversed(tape.records):
         g = adjoint.pop(rec.out, None)
         if g is None:
             continue
-        op = _OPS[rec.op]
+        needs = tuple(j in live for j in rec.inputs)
+        if not any(needs):
+            continue
         args = [tape.values[j] for j in rec.inputs]
-        grads = op.vjp(args, rec.params, tape.values[rec.out], g)
-        for j, gj in zip(rec.inputs, grads):
+        grads = _OPS[rec.op].vjp(args, rec.params, tape.values[rec.out], g, needs)
+        for j, gj, need in zip(rec.inputs, grads, needs):
+            if not need:
+                continue
             if j in adjoint:
                 adjoint[j] = adjoint[j] + gj
             else:
                 adjoint[j] = gj
-    out = []
+    out, handed = [], set()
     for lf in leaves:
         g = adjoint.get(lf.node)
         if g is None:
             g = np.zeros(lf.data.shape, dtype=F32)
-        out.append(Tensor(np.asarray(g, dtype=F32)))
+        elif (g.base is not None or not g.flags.writeable or not g.flags.c_contiguous
+              or id(g) in handed):
+            g = np.array(g, dtype=F32, order="C")  # a view, a broadcast, F-ordered or another leaf's
+        handed.add(id(g))
+        out.append(Tensor(g))
     return out

@@ -1,6 +1,7 @@
 """Tensor/tape tests: exact summation order, gradients vs FD, determinism."""
 
 import ctypes
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -330,12 +331,12 @@ class TestGrad:
             nm.add(t1.leaf(randf(3,)), t2.leaf(randf(3,)))
 
 
-def loss_through(op, *leaf_arrays, builder=None):
+def loss_through(op, *leaf_arrays, builder=None, rng=RNG):
     """Record op(leaves) and reduce with a fixed random cotangent."""
     tape = GradTape()
     leaves = [tape.leaf(a) for a in leaf_arrays]
     out = builder(*leaves) if builder else op(*leaves)
-    r = tape.leaf(RNG.standard_normal(out.shape).astype(np.float32))
+    r = tape.leaf(rng.standard_normal(out.shape).astype(np.float32))
     return nm.sum_all(nm.mul(out, r)), leaves
 
 
@@ -429,11 +430,11 @@ class TestTapeReplay:
 
 
 def record_every_op(tape, rng):
-    """Run each op of nm._OPS at least once on tape, from leaves drawn from rng; returns the outputs."""
+    """Run each op of nm._OPS at least once on tape, from leaves drawn from rng; returns (leaves, outputs)."""
     x, y = tape.leaf(randf(4, 6, rng=rng)), tape.leaf(randf(4, 6, rng=rng))
     w = tape.leaf(randf(6, 3, rng=rng))
     img, k = tape.leaf(randf(2, 4, 4, rng=rng)), tape.leaf(randf(3, 2, 3, 3, rng=rng))
-    return [nm.add(x, y), nm.sub(x, y), -x, nm.matmul(x, w), nm.conv2d(img, k, stride=2),
+    return [x, y, w, img, k], [nm.add(x, y), nm.sub(x, y), -x, nm.matmul(x, w), nm.conv2d(img, k, stride=2),
             nm.silu(x), nm.softmax_last(x), nm.reshape(x, (6, 4)), nm.transpose2d(x),
             nm.take_flat(x, [0, 5, 23], (3,)), nm.take_axis(x, [3, 0, 3], 0), nm.lerp(x, y, 0.3),
             nm.resample_cubic_axis(img, 2, 1), nm.mean_axes(x, (1,)), nm.sum_all(x), nm.mean_all(x),
@@ -494,6 +495,19 @@ class TestTapeInputs:
         assert tape.inputs == [x.node, c]
         assert tape.replay({c: np.full(3, 5.0)})[y.node].tolist() == [5.0, 5.0, 5.0]
 
+    def test_tape_keeps_its_own_copy_of_an_operand(self):
+        tape = GradTape()
+        x = tape.leaf(np.ones(3, np.float32))
+        target, scale = np.zeros(3, np.float32), np.ones(3, np.float32)
+        r = nm.sub(x, target)
+        loss = nm.sum_all(nm.mul(nm.mul(r, r), scale))  # mul's vjp reads scale
+        (before,) = nm.grad(loss, [x])
+        target[:] = 5.0  # the caller reuses its arrays
+        scale[:] = 7.0
+        assert tape.replay()[loss.node].tolist() == 3.0
+        (after,) = nm.grad(loss, [x])
+        assert before.data.tolist() == after.data.tolist() == [2.0, 2.0, 2.0]
+
     @pytest.mark.parametrize("which", ["produced", "unknown"])
     def test_override_of_a_non_input_raises(self, which):
         tape = GradTape()
@@ -503,6 +517,172 @@ class TestTapeInputs:
         node = y.node if which == "produced" else 99
         with pytest.raises(ValueError, match=rf"replay: nodes \[{node}\]"):
             tape.replay({x.node: np.zeros(3), node: np.full(3, 5.0)})
+
+
+def assert_owned(grads, tape):
+    """Each gradient is a writable, C-contiguous float32 array shared with no other gradient and no tape value."""
+    for i, g in enumerate(grads):
+        arr = g.data
+        assert arr.dtype == np.float32 and arr.flags.c_contiguous and arr.flags.writeable
+        assert not any(np.shares_memory(arr, other.data) for other in grads[i + 1:])
+        assert not any(np.shares_memory(arr, v) for v in tape.values)
+
+
+class TestGradOutput:
+    """grad returns fresh arrays the caller owns."""
+
+    @pytest.mark.parametrize("name,fn,shapes", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+    def test_primitive_gradients_are_owned(self, name, fn, shapes):
+        rng = np.random.default_rng(20261201)
+        loss, leaves = loss_through(None, *[randf(*s, rng=rng) for s in shapes], builder=fn, rng=rng)
+        assert_owned(nm.grad(loss, leaves), loss.tape)
+
+    @pytest.mark.parametrize("reduce", [nm.sum_all, nm.mean_all])
+    def test_reduction_of_a_leaf_gives_an_owned_array(self, reduce):
+        tape = GradTape()
+        x = tape.leaf(randf(3, 4, rng=np.random.default_rng(20261202)))
+        (g,) = nm.grad(reduce(x), [x])
+        assert_owned([g], tape)
+        g.data[0, 0] = 9.0  # a broadcast view would raise here
+        assert nm.grad(reduce(x), [x])[0].data[0, 0] != 9.0
+
+    def test_add_gives_each_leaf_its_own_array(self):
+        tape = GradTape()
+        a, b = tape.leaf(np.zeros(3, np.float32)), tape.leaf(np.zeros(3, np.float32))
+        ga, gb = nm.grad(nm.sum_all(nm.add(a, b)), [a, b])
+        assert_owned([ga, gb], tape)
+        ga.data[0] = 9.0
+        assert gb.data.tolist() == [1.0, 1.0, 1.0]
+
+    def test_fortran_ordered_leaf_gets_a_c_contiguous_array(self):
+        tape = GradTape()
+        x = tape.leaf(np.asfortranarray(randf(3, 4, rng=np.random.default_rng(20261206))))
+        (g,) = nm.grad(nm.mean_all(nm.mul(x, x)), [x])
+        assert_owned([g], tape)
+
+    def test_a_leaf_asked_for_twice_gets_two_arrays(self):
+        tape = GradTape()
+        x = tape.leaf(np.ones(3, np.float32))
+        grads = nm.grad(nm.sum_all(nm.mul(x, x)), [x, x])
+        assert_owned(grads, tape)
+        assert grads[0].data.tolist() == grads[1].data.tolist() == [2.0, 2.0, 2.0]
+
+
+def spy_vjps(monkeypatch, names):
+    """Wrap the named ops' vjps; returns the list of (op, needs, grads) that their calls append to."""
+    calls = []
+    for name in names:
+        op = nm._OPS[name]
+
+        def spy(a, p, out, g, needs, _name=name, _vjp=op.vjp):
+            grads = _vjp(a, p, out, g, needs)
+            calls.append((_name, needs, grads))
+            return grads
+
+        monkeypatch.setattr(op, "vjp", spy)
+    return calls
+
+
+def full_backward(loss, leaves):
+    """The unpruned backward: every record's vjp for every input, with the reductions' cotangents dense arrays."""
+    tape = loss.tape
+    adjoint = {loss.node: np.ones((), dtype=np.float32)}
+    for rec in reversed(tape.records):
+        g = adjoint.pop(rec.out, None)
+        if g is None:
+            continue
+        args = [tape.values[j] for j in rec.inputs]
+        grads = nm._OPS[rec.op].vjp(args, rec.params, tape.values[rec.out], g, (True,) * len(args))
+        if rec.op in ("sum_all", "mean_all", "mean_axes"):
+            grads = [np.array(gj) for gj in grads]
+        for j, gj in zip(rec.inputs, grads):
+            adjoint[j] = adjoint[j] + gj if j in adjoint else gj
+    return [np.ascontiguousarray(adjoint.get(lf.node, np.zeros(lf.shape, np.float32))) for lf in leaves]
+
+
+class TestGradPruning:
+    """grad computes only the cotangents that lead to a requested leaf, with the full backward's bytes."""
+
+    def test_sub_is_not_asked_for_the_target(self, monkeypatch):
+        calls = spy_vjps(monkeypatch, ["sub"])
+        tape = GradTape()
+        leaf = tape.leaf(np.array([1.0, 2.0, 3.0], np.float32))
+        r = nm.sub(leaf, np.zeros(3, np.float32))
+        (g,) = nm.grad(nm.mean_all(nm.mul(r, r)), [leaf])
+        ((_, needs, (g_leaf, g_target)),) = calls
+        assert needs == (True, False)
+        assert g_target is None  # no -g for the target
+        assert g_leaf is not None
+        assert g.data.tolist() == [np.float32(2 / 3), np.float32(4 / 3), np.float32(2.0)]
+
+    def test_no_vjp_runs_for_a_node_that_leads_to_no_leaf(self, monkeypatch):
+        calls = spy_vjps(monkeypatch, ["matmul", "silu"])
+        rng = np.random.default_rng(20261203)
+        tape = GradTape()
+        x, c = tape.leaf(randf(3, 4, rng=rng)), tape.leaf(randf(4, 2, rng=rng))
+        y = nm.add(nm.silu(nm.matmul(x, c)), tape.leaf(randf(3, 2, rng=rng)))
+        nm.grad(nm.sum_all(y), [x])
+        assert [(name, needs) for name, needs, _ in calls] == [("silu", (True,)), ("matmul", (True, False))]
+        calls.clear()
+        other = tape.leaf(randf(3, 2, rng=rng))
+        nm.grad(nm.sum_all(nm.add(y, other)), [other])
+        assert calls == []
+
+    @pytest.mark.parametrize("cotangent", ["mean_all", "weighted"])
+    def test_every_op_gives_the_full_backward_bytes(self, cotangent):
+        # mean_all hands every op a broadcast cotangent; weighted a dense one,
+        # through a mul whose other operand leads to no leaf.
+        rng = np.random.default_rng(20261104)
+        tape = GradTape()
+        leaves, outs = record_every_op(tape, rng)
+        terms = [nm.mean_all(o) if cotangent == "mean_all" else nm.sum_all(nm.mul(o, randf(*o.shape, rng=rng)))
+                 for o in outs]
+        loss = terms[0]
+        for t in terms[1:]:
+            loss = nm.add(loss, t)
+        for leaf in leaves:
+            (got,) = nm.grad(loss, [leaf])
+            (want,) = full_backward(loss, [leaf])
+            assert got.data.dtype == want.dtype and got.data.shape == want.shape
+            assert got.data.tobytes() == want.tobytes()
+
+    # BLAS takes another path for a stride-0 operand, and with a vector
+    # operand that gives other bytes; the vjps expand the cotangent first.
+    @pytest.mark.parametrize("op,shapes", [
+        (nm.matmul, [(1, 64), (64, 300)]),
+        (nm.matmul, [(300, 64), (64, 1)]),
+        (nm.conv2d, [(4, 32, 32), (1, 4, 3, 3)]),
+    ])
+    def test_broadcast_cotangent_into_blas_gives_the_dense_bytes(self, op, shapes):
+        rng = np.random.default_rng(20261105)
+        tape = GradTape()
+        leaves = [tape.leaf(randf(*s, rng=rng)) for s in shapes]
+        loss = nm.mean_all(op(*leaves))
+        for got, want in zip(nm.grad(loss, leaves), full_backward(loss, leaves), strict=True):
+            assert got.data.tobytes() == want.tobytes()
+
+
+class TestGradAllocation:
+    """A guard on what one gradient step allocates."""
+
+    def test_fit_step_peak(self):
+        # encode_fit's step: mean((U V - T)^2), U 77x8, V 8x1024, the target
+        # T an operand.  What grad may hold at once: mul's two halves of r's
+        # cotangent and their sum, each 77x1024.  No -g for T and no dense
+        # array for mean_all's cotangent.
+        rng = np.random.default_rng(20261204)
+        tape = GradTape()
+        u, v = tape.leaf(randf(77, 8, rng=rng)), tape.leaf(randf(8, 1024, rng=rng))
+        r = nm.sub(nm.matmul(u, v), randf(77, 1024, rng=rng))
+        loss = nm.mean_all(nm.mul(r, r))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nm.grad(loss, [u, v])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 77 * 1024 * 4 + 64 * 1024
 
 
 class TestLerp:
@@ -697,7 +877,7 @@ class TestSilu:
         for x in silu_inputs(dtype):
             g = rng.standard_normal(x.shape).astype(dtype)
             with np.errstate(invalid="ignore"):
-                (got,) = nm._OPS["silu"].vjp([x], {}, None, g)
+                (got,) = nm._OPS["silu"].vjp([x], {}, None, g, (True,))
                 want = silu_vjp_reference(x, g)
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
