@@ -25,6 +25,20 @@ them can switch on flush-to-zero for the whole process.  -march=native
 ties the object to the host, so it is cached per user under
 tempfile.gettempdir(), keyed by a hash of the source and the flags.
 
+From SPLIT_MIN_WORK multiply-adds (about 4M, defined in _strict_mm.c) a
+kernel call cuts its output into tasks, a 32-column panel over 64 rows of
+a product or a 32-pixel panel of a convolution, and runs them on as many
+threads as the calling thread's CPU affinity mask holds: the caller and
+detached pthreads made for the call, each claiming the next task until
+none is left.  The call returns when every task is done.  Every output
+entry is still computed by one thread, in the same order, so the bytes
+do not depend on the number of threads.  The affinity mask
+(os.sched_setaffinity) is the one control; there is no thread pool, no
+OpenMP and no environment variable.  Every NaN that the strict product
+makes, in the kernel and in the loop, is numpy's quiet NaN: which of two
+NaNs an add or a multiply passes on depends on the operand order the
+compiler chose, so one NaN keeps the two paths' bytes equal.
+
 No op writes to a Tensor's array; a tape is confined to one thread.
 """
 
@@ -62,7 +76,7 @@ def _shape_error(op, *shapes):
 # ---------------------------------------------------------------------------
 
 STRICT_MM_SOURCE = Path(__file__).with_name("_strict_mm.c")
-STRICT_MM_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+STRICT_MM_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 
 
 def _load_strict_mm():
@@ -138,6 +152,7 @@ def _mm_loop(a, b):
         for kk in range(k):
             np.multiply(a[:, kk, np.newaxis], b[np.newaxis, kk, :], out=tmp)
             out += tmp
+    np.copyto(out, np.nan, where=np.isnan(out))  # one NaN, as in the kernel
     return out
 
 
@@ -260,7 +275,7 @@ def _fwd_conv2d(a, p):
     c, h, wd = x.shape
     out = _strict_kernel("strict_conv3x3_f32", x, w, (co, h // s, wd // s), c, h, wd, co, s)
     if out is None:
-        out = _mm_loop(w.reshape(co, -1), _im2col(x, s)).reshape(co, h // s, wd // s)
+        out = _mm_loop(w.reshape(co, c * 9), _im2col(x, s)).reshape(co, h // s, wd // s)
     return out
 
 
@@ -270,9 +285,12 @@ def _fwd_silu(a, p):
 
 
 def _fwd_softmax_last(a, p):
+    # One array, each step in place: the bytes of exp(x - max) / sum.
     x = a[0]
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    out = np.subtract(x, x.max(axis=-1, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _fwd_reshape(a, p):

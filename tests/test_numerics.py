@@ -1,11 +1,19 @@
 """Tensor/tape tests: exact summation order, gradients vs FD, determinism."""
 
 import ctypes
+import os
+import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptstream import numerics as nm
 from promptstream.numerics import GradTape, ShapeMismatchError, Tensor, UnknownLeafError
@@ -82,7 +90,7 @@ KERNEL_SHAPES = [
 def conv_reference(x, w, stride):
     """conv2d's bytes: the numpy strict loop over the _im2col patch matrix."""
     co, ho, wo = w.shape[0], x.shape[1] // stride, x.shape[2] // stride
-    return loop_product(w.reshape(co, -1), nm._im2col(x, stride)).reshape(co, ho, wo)
+    return loop_product(w.reshape(co, x.shape[0] * 9), nm._im2col(x, stride)).reshape(co, ho, wo)
 
 
 def assert_conv_same_bytes(x, w, stride):
@@ -114,6 +122,8 @@ class TestStrictKernel:
         assert "-ffp-contract=off" in nm.STRICT_MM_FLAGS
         banned = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math")
         assert not set(banned) & set(nm.STRICT_MM_FLAGS)
+        # Threads are plain pthreads; OpenMP would obey OMP_NUM_THREADS, which BLAS users pin to 1.
+        assert "-pthread" in nm.STRICT_MM_FLAGS and "-fopenmp" not in nm.STRICT_MM_FLAGS
 
     @pytest.mark.parametrize("m, k, n", KERNEL_SHAPES)
     def test_bytes_equal_numpy_loop(self, m, k, n):
@@ -293,6 +303,188 @@ class TestStrictKernel:
         out = np.empty((5, 3, 5), np.float32)
         assert lib.strict_conv3x3_f32(x.ctypes.data, w.ctypes.data, out.ctypes.data, 3, 6, 10, 5, 2) == 0
         assert out.tobytes() == conv_reference(x, w, 2).tobytes()
+
+
+def _split_min_work():
+    """SPLIT_MIN_WORK from _strict_mm.c: the multiply-adds from which a product runs on several threads."""
+    base, shift = re.search(r"#define SPLIT_MIN_WORK \((\d+)L << (\d+)\)", nm.STRICT_MM_SOURCE.read_text()).groups()
+    return int(base) << int(shift)
+
+
+SPLIT_MIN_WORK = _split_min_work()
+MC = 64  # strict_mm_f32's rows per task (16 tiles of 4)
+TINY = np.finfo(np.float32).smallest_subnormal
+KERNEL_SPECIALS = np.array([-0.0, np.inf, -np.inf, np.nan, TINY, -TINY, 1e-40, -3e-39, 3e38, -3e38], np.float32)
+
+
+@st.composite
+def kernel_entries(draw, shape):
+    """A float32 array of the shape whose entries may be -0, +-inf, NaN, subnormals or huge.
+
+    Hypothesis draws the seed and the mix; the values come from a generator
+    of that seed, so arrays of thousands of entries stay cheap to draw.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-20]))  # 1e-20: products in the subnormal range
+    share = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))  # of entries that are special
+    x = (rng.uniform(-2.0, 2.0, shape) * scale).astype(np.float32)
+    mask = rng.random(shape) < share
+    x[mask] = rng.choice(KERNEL_SPECIALS, int(mask.sum()))
+    return x
+
+
+@st.composite
+def small_products(draw):
+    m, k, n = (draw(st.integers(0, 70)) for _ in range(3))
+    return draw(kernel_entries((m, k))), draw(kernel_entries((k, n)))
+
+
+@st.composite
+def split_products(draw):
+    """Products of at least SPLIT_MIN_WORK multiply-adds, from tall and thin to nearly square."""
+    k, n = draw(st.integers(16, 160)), draw(st.integers(16, 160))
+    m = -(-SPLIT_MIN_WORK // (k * n)) + draw(st.integers(0, 3 * MC))
+    return draw(kernel_entries((m, k))), draw(kernel_entries((k, n)))
+
+
+def conv_operands(draw, ci, co, ho, wo, s):
+    h, w = ho * s, wo * s
+    return draw(kernel_entries((ci, h, w))), draw(kernel_entries((co, ci, 3, 3))), s
+
+
+@st.composite
+def small_convs(draw):
+    s = draw(st.sampled_from([1, 2]))
+    ci, co, ho, wo = (draw(st.integers(lo, hi)) for lo, hi in ((0, 8), (0, 9), (0, 12), (0, 40)))
+    return conv_operands(draw, ci, co, ho, wo, s)
+
+
+@st.composite
+def split_convs(draw):
+    """Convolutions of at least SPLIT_MIN_WORK multiply-adds."""
+    s = draw(st.sampled_from([1, 2]))
+    ci, co, wo = draw(st.integers(8, 64)), draw(st.integers(1, 64)), draw(st.integers(1, 70))
+    pixels = -(-SPLIT_MIN_WORK // (co * ci * 9))
+    ho = -(-pixels // wo) + draw(st.integers(0, 3))
+    return conv_operands(draw, ci, co, ho, wo, s)
+
+
+class TestKernelProperties:
+    """The C entry points against their numpy loops, byte for byte, on drawn shapes and entries."""
+
+    @given(small_products())
+    @settings(max_examples=60, deadline=None)
+    def test_matmul(self, ab):
+        assert_same_bytes(*ab)
+
+    @given(split_products())
+    @settings(max_examples=20, deadline=None)
+    def test_matmul_above_the_split_threshold(self, ab):
+        assert_same_bytes(*ab)
+
+    @given(small_convs())
+    @settings(max_examples=60, deadline=None)
+    def test_conv2d(self, xws):
+        assert_conv_same_bytes(*xws)
+
+    @given(split_convs())
+    @settings(max_examples=20, deadline=None)
+    def test_conv2d_above_the_split_threshold(self, xws):
+        assert_conv_same_bytes(*xws)
+
+
+class TestKernelThreads:
+    """Products above SPLIT_MIN_WORK, which run on every CPU of the affinity mask, keep the loop's bytes."""
+
+    # A last block of rows shorter than MC that ends in a partial tile of
+    # 4, with an odd (35) and an even (42) number of tasks; fewer rows than
+    # two tiles, split by the 25 column panels alone; and a single panel of
+    # columns (n <= 32), split by the blocks of rows alone.
+    @pytest.mark.parametrize("m, k, n", [
+        (4 * MC + 50, 96, 200), (5 * MC + 13, 77, 200), (7, 800, 800), (4096, 77, 20), (2051, 64, 32),
+    ])
+    def test_product_split_edges(self, m, k, n):
+        assert m * k * n >= SPLIT_MIN_WORK
+        rng = np.random.default_rng([m, k, n])
+        assert_same_bytes(randf(m, k, lo=-2.0, hi=2.0, rng=rng), randf(k, n, rng=rng))
+
+    # An odd number of 32-pixel panels (28 x 28 = 24.5 panels); the render
+    # block's 3 output channels at stride 2.
+    @pytest.mark.parametrize("ci, co, hw, s", [(32, 32, 28, 1), (64, 3, 128, 2)])
+    def test_conv2d_split_edges(self, ci, co, hw, s):
+        assert co * ci * 9 * (hw // s) ** 2 >= SPLIT_MIN_WORK
+        rng = np.random.default_rng([ci, co, hw, s])
+        assert_conv_same_bytes(randf(ci, hw, hw, lo=-2.0, hi=2.0, rng=rng), randf(co, ci, 3, 3, rng=rng), s)
+
+    def test_one_cpu_gives_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(20261020)
+        ops = {"a": randf(1030, 64, rng=rng), "b": randf(64, 96, rng=rng),
+               "x": randf(32, 40, 40, rng=rng), "w": randf(16, 32, 3, 3, rng=rng)}
+        for name, arr in ops.items():
+            np.save(tmp_path / f"{name}.npy", arr)
+        child = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import numpy as np\n"
+            "from promptstream import numerics as nm\n"
+            "d = sys.argv[1]\n"
+            "a, b, x, w = (np.load(f'{d}/{n}.npy') for n in 'abxw')\n"
+            "assert len(os.sched_getaffinity(0)) == 1 and nm.STRICT_MATMUL == 'c'\n"
+            "np.save(f'{d}/mm.npy', nm.matmul(a, b).data)\n"
+            "np.save(f'{d}/conv.npy', nm.conv2d(x, w).data)\n"
+        )
+        src = str(Path(nm.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env, check=True, timeout=120)
+        assert np.load(tmp_path / "mm.npy").tobytes() == nm.matmul(ops["a"], ops["b"]).data.tobytes()
+        assert np.load(tmp_path / "conv.npy").tobytes() == nm.conv2d(ops["x"], ops["w"]).data.tobytes()
+
+    def test_concurrent_callers_get_the_same_bytes(self):
+        # More callers than CPUs, each call with its own helpers and counters:
+        # a lost claim or a task run twice would change bytes or never return.
+        rng = np.random.default_rng(20261023)
+        a, b = randf(1030, 64, rng=rng), randf(64, 96, rng=rng)
+        x, w = randf(32, 40, 40, rng=rng), randf(16, 32, 3, 3, rng=rng)
+        want = nm.matmul(a, b).data.tobytes(), nm.conv2d(x, w).data.tobytes()
+        wrong = []
+
+        def caller():
+            for _ in range(10):
+                if (nm.matmul(a, b).data.tobytes(), nm.conv2d(x, w).data.tobytes()) != want:
+                    wrong.append(threading.get_ident())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(2 * len(os.sched_getaffinity(0)) + 2)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers) and not wrong
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs Linux's /proc and two CPUs in the affinity mask")
+    def test_a_large_product_runs_on_more_than_one_thread(self):
+        # The product releases the interpreter lock, so this thread can list
+        # the process's threads while it runs; a helper is a thread that is
+        # new and is not the worker.
+        a, b = np.ones((8192, 160), np.float32), np.ones((160, 160), np.float32)
+        made = set()
+        for _ in range(20):
+            before = set(os.listdir("/proc/self/task"))
+            worker = threading.Thread(target=nm.matmul, args=(a, b))
+            worker.start()
+            while worker.is_alive():
+                made |= set(os.listdir("/proc/self/task"))
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            made -= before | {str(worker.native_id)}
+            if made:
+                break
+        assert made
 
 
 class TestGrad:
@@ -683,6 +875,45 @@ class TestGradAllocation:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 77 * 1024 * 4 + 64 * 1024
+
+
+def three_array_softmax(x):
+    """The former softmax_last forward: the bytes the one-array form must keep."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmaxLast:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_render_shape_bytes(self, dtype):
+        rng = np.random.default_rng(20261021)
+        x = (rng.standard_normal((4096, 77)) * 6.0).astype(dtype)
+        assert nm._fwd_softmax_last((x,), {}).tobytes() == three_array_softmax(x).tobytes()
+        assert nm.softmax_last(x.astype(np.float32)).data.tobytes() == three_array_softmax(x.astype(np.float32)).tobytes()
+
+    def test_non_finite_rows_bytes(self):
+        rows = [
+            [np.inf, 1.0, -2.0, 0.5], [np.inf, np.inf, 0.0, 1.0], [-np.inf, 1.0, 2.0, -0.0],
+            [-np.inf] * 4, [np.nan, 1.0, 2.0, 3.0], [1.0, -np.nan, np.inf, -np.inf],
+            [-0.0, 0.0, -0.0, 0.0], [1e-40, -1e-40, 88.0, -104.0],
+        ]
+        x = np.array(rows, np.float32)
+        with np.errstate(invalid="ignore"):
+            want = three_array_softmax(x)
+            got = nm.softmax_last(x).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_forward_allocates_one_array(self):
+        x = np.random.default_rng(20261022).standard_normal((4096, 77)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nm.softmax_last(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The output, plus the row maxima and sums (16 KiB each) and change.
+        assert peak <= x.nbytes + 64 * 1024
 
 
 class TestLerp:
