@@ -26,24 +26,23 @@
  * second), and numpy's loops order theirs differently; with one NaN, the
  * bytes of c depend only on the values of a and b.
  *
- * Threads.  Each entry point cuts its output into disjoint tasks and
- * runs them on up to T threads: the caller's thread and T-1 detached
- * pthreads made for the call.  Every thread claims the next task from a
- * counter until none is left, so a thread that starts late, or that
- * shares its CPU, takes fewer tasks instead of holding up the call; the
- * caller returns once every task is done, without waiting for a helper
- * that has yet to start.  A task of strict_mm_f32 is one NR-column panel
- * of c over a block of MC rows; a thread packs a panel of b only when its
- * task moves to another panel.  A task of strict_conv3x3_f32 is one
- * NR-pixel panel over all co rows.
- * Every thread packs or gathers into its own panel.  Each entry of c is
- * still computed by one thread, from +0.0f over kk = 0 .. k-1, in the same
- * register tile, so the bytes do not depend on T or on which thread ran
- * which task.  T is the number of CPUs in the calling thread's affinity
- * mask, at most the number of tasks, and 1 for a product of fewer than
- * SPLIT_MIN_WORK multiply-adds.  The affinity mask is the one control:
- * there is no pool, no OpenMP and no environment variable.  If a thread
- * cannot be made, the others run its share.
+ * Threads.  Both entry points cut their m x n output c (a convolution's
+ * m is co, its n the output pixels) into the same tasks: task
+ * t = p*chunks + r is rows [r*MC, r*MC + MC) of NR-column panel p, where
+ * chunks = ceil(m / MC).  The tasks run on up to T threads: the caller's
+ * thread and T-1 detached pthreads made for the call.  Every thread claims
+ * the next task from a counter until none is left, so a thread that starts
+ * late, or that shares its CPU, takes fewer tasks instead of holding up the
+ * call; the caller returns once every task is done, without waiting for a
+ * helper that has yet to start.  Every thread fills its own panel, and only
+ * when its task moves to another panel.  Each entry of c is still computed
+ * by one thread, from +0.0f over kk = 0 .. k-1, in the same register tile,
+ * so the bytes do not depend on T or on which thread ran which task.  T is
+ * the number of CPUs in the calling thread's affinity mask, at most the
+ * number of tasks, and 1 for a product of fewer than SPLIT_MIN_WORK
+ * multiply-adds (m*k*n; a convolution's k is ci*9).  The affinity mask is
+ * the one control: there is no pool, no OpenMP and no environment
+ * variable.  If a thread cannot be made, the others run its share.
  */
 #define _GNU_SOURCE
 #include <math.h>
@@ -54,7 +53,7 @@
 
 #define MR 4
 #define NR 32
-/* Rows in one task of strict_mm_f32: a multiple of MR. */
+/* Rows in one task: a multiple of MR. */
 #define MC (16 * MR)
 /* Multiply-adds below which a product stays on the caller's thread.  On a
  * 2-vCPU Xeon (AVX-512, gcc 12.2), making an empty pthread and joining it
@@ -114,15 +113,16 @@ static float *new_panel(long k)
     return aligned_alloc(64, sizeof(float) * NR * (k > 0 ? k : 1));
 }
 
-/* One call's tasks.  task(job, panel, t, packed) runs task t with the
- * calling thread's panel, which holds the panel numbered *packed. */
+/* One call: c = a @ B for a of m x k and B of k x n.  fill(job, panel, j0, nc)
+ * writes B's columns j0 .. j0+nc-1 into panel, zero-padded to NR columns;
+ * B is b, or the patch matrix of the map b. */
 struct job {
-    void (*task)(const struct job *, float *panel, long t, long *packed);
-    long tasks, k;
+    void (*fill)(const struct job *, float *panel, long j0, long nc);
     const float *a, *b;
     float *c;
-    long m, n, chunks;             /* strict_mm_f32 */
-    long ci, h, wd, s, wo;         /* strict_conv3x3_f32; co is m */
+    long m, k, n;
+    long ci, h, wd, s;             /* strict_conv3x3_f32: b is the (ci,h,wd) map */
+    long chunks, tasks;            /* set by run_job */
     long next;                     /* the next task to claim */
     long done;                     /* tasks finished */
     long refs;                     /* threads that hold the job; the last one frees it */
@@ -130,9 +130,14 @@ struct job {
 
 static void run_tasks(struct job *j, float *panel)
 {
-    long packed = -1;
+    long filled = -1;  /* the panel number that panel holds */
     for (long t; (t = __atomic_fetch_add(&j->next, 1, __ATOMIC_RELAXED)) < j->tasks;) {
-        j->task(j, panel, t, &packed);
+        long p = t / j->chunks, r0 = t % j->chunks * MC;
+        long j0 = p * NR, nc = j->n - j0 < NR ? j->n - j0 : NR, rows = j->m - r0 < MC ? j->m - r0 : MC;
+        if (filled != p)
+            j->fill(j, panel, j0, nc);
+        filled = p;
+        tile_rows(j->a + r0 * j->k, panel, j->c + r0 * j->n, rows, j->k, j->n, j0, nc);
         __atomic_fetch_add(&j->done, 1, __ATOMIC_RELEASE);  /* publishes the task's part of c */
     }
 }
@@ -155,35 +160,35 @@ static void *helper(void *arg)
     return NULL;
 }
 
-/* Threads for a call of `work` multiply-adds cut into `tasks` tasks. */
-static long threads_for(long tasks, double work)
+/* T for a job's tasks (see Threads above). */
+static long threads_for(const struct job *j)
 {
     cpu_set_t set;
-    if (tasks < 2 || work < SPLIT_MIN_WORK || sched_getaffinity(0, sizeof set, &set))
+    if (j->tasks < 2 || (double)j->m * j->k * j->n < SPLIT_MIN_WORK || sched_getaffinity(0, sizeof set, &set))
         return 1;
     long t = CPU_COUNT(&set);
-    return t < tasks ? t : tasks;
+    return t < j->tasks ? t : j->tasks;
 }
 
-/* Run every task of *proto on the caller's thread and up to T-1 detached
+/* Run every task of *job on the caller's thread and up to T-1 detached
  * helpers; nonzero if the caller has no panel.  The caller waits for the
  * tasks, not for the helpers: one that starts after the last task was
  * claimed finds nothing to do, and the last thread out frees the job. */
-static int run_job(const struct job *proto, double work)
+static int run_job(struct job *job)
 {
-    float *panel = new_panel(proto->k);
+    float *panel = new_panel(job->k);
     if (!panel)
         return 1;
-    long t = threads_for(proto->tasks, work);
+    job->chunks = (job->m + MC - 1) / MC;
+    job->tasks = job->chunks * ((job->n + NR - 1) / NR);
+    long t = threads_for(job);
     struct job *j = t > 1 ? malloc(sizeof *j) : NULL;
     if (!j) {  /* one thread, or no memory to share the job: the caller runs every task */
-        long packed = -1;
-        for (long i = 0; i < proto->tasks; i++)
-            proto->task(proto, panel, i, &packed);
+        run_tasks(job, panel);
         free(panel);
         return 0;
     }
-    *j = *proto;
+    *j = *job;
     j->refs = t;
     pthread_attr_t attr;
     pthread_attr_init(&attr);
@@ -202,33 +207,26 @@ static int run_job(const struct job *proto, double work)
     return 0;
 }
 
-/* Rows [r*MC, r*MC + MC) of panel p of c = a @ b, for task t = p*chunks + r. */
-static void mm_task(const struct job *j, float *panel, long t, long *packed)
+/* Columns j0 .. j0+nc-1 of b. */
+static void pack_panel(const struct job *j, float *panel, long j0, long nc)
 {
-    long k = j->k, n = j->n, p = t / j->chunks, r0 = t % j->chunks * MC;
-    long j0 = p * NR, nc = n - j0 < NR ? n - j0 : NR, rows = j->m - r0 < MC ? j->m - r0 : MC;
-    if (*packed != p) {
-        for (long kk = 0; kk < k; kk++) {
-            memcpy(panel + kk * NR, j->b + kk * n + j0, sizeof(float) * nc);
-            memset(panel + kk * NR + nc, 0, sizeof(float) * (NR - nc));
-        }
-        *packed = p;
+    for (long kk = 0; kk < j->k; kk++) {
+        memcpy(panel + kk * NR, j->b + kk * j->n + j0, sizeof(float) * nc);
+        memset(panel + kk * NR + nc, 0, sizeof(float) * (NR - nc));
     }
-    tile_rows(j->a + r0 * k, panel, j->c + r0 * n, rows, k, n, j0, nc);
 }
 
 int strict_mm_f32(const float *a, const float *b, float *c, long m, long k, long n)
 {
-    long chunks = (m + MC - 1) / MC;
-    struct job j = {.task = mm_task, .tasks = chunks * ((n + NR - 1) / NR), .k = k,
-                    .a = a, .b = b, .c = c, .m = m, .n = n, .chunks = chunks};
-    return run_job(&j, (double)m * k * n);
+    struct job j = {.fill = pack_panel, .a = a, .b = b, .c = c, .m = m, .k = k, .n = n};
+    return run_job(&j);
 }
 
-/* The patch matrix's columns j0 .. j0+nc-1 (output pixels) into a panel. */
-static void gather_panel(float *restrict panel, const float *restrict x, long ci, long h, long w, long s,
-                         long wo, long j0, long nc)
+/* The patch matrix's columns j0 .. j0+nc-1 (output pixels). */
+static void gather_panel(const struct job *j, float *restrict panel, long j0, long nc)
 {
+    const float *restrict x = j->b;
+    long ci = j->ci, h = j->h, w = j->wd, s = j->s, wo = w / s;
     long oy = j0 / wo, ox = j0 % wo;
     for (long t = 0, run; t < nc; t += run, oy++, ox = 0) {
         run = wo - ox < nc - t ? wo - ox : nc - t;  /* pixels left in this output row */
@@ -267,19 +265,9 @@ static void gather_panel(float *restrict panel, const float *restrict x, long ci
             memset(panel + kk * NR + nc, 0, sizeof(float) * (NR - nc));
 }
 
-/* Output pixels [t*NR, t*NR + NR) of the convolution. */
-static void conv_task(const struct job *j, float *panel, long t, long *packed)
-{
-    long j0 = t * NR, nc = j->n - j0 < NR ? j->n - j0 : NR;
-    (void)packed;
-    gather_panel(panel, j->b, j->ci, j->h, j->wd, j->s, j->wo, j0, nc);
-    tile_rows(j->a, panel, j->c, j->m, j->k, j->n, j0, nc);
-}
-
 int strict_conv3x3_f32(const float *x, const float *w, float *c, long ci, long h, long wd, long co, long s)
 {
-    long wo = wd / s, n = (h / s) * wo;
-    struct job j = {.task = conv_task, .tasks = (n + NR - 1) / NR, .k = ci * 9, .a = w, .b = x, .c = c,
-                    .m = co, .n = n, .ci = ci, .h = h, .wd = wd, .s = s, .wo = wo};
-    return run_job(&j, (double)co * ci * 9 * n);
+    struct job j = {.fill = gather_panel, .a = w, .b = x, .c = c, .m = co, .k = ci * 9, .n = (h / s) * (wd / s),
+                    .ci = ci, .h = h, .wd = wd, .s = s};
+    return run_job(&j);
 }

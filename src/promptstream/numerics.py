@@ -25,19 +25,10 @@ them can switch on flush-to-zero for the whole process.  -march=native
 ties the object to the host, so it is cached per user under
 tempfile.gettempdir(), keyed by a hash of the source and the flags.
 
-From SPLIT_MIN_WORK multiply-adds (about 4M, defined in _strict_mm.c) a
-kernel call cuts its output into tasks, a 32-column panel over 64 rows of
-a product or a 32-pixel panel of a convolution, and runs them on as many
-threads as the calling thread's CPU affinity mask holds: the caller and
-detached pthreads made for the call, each claiming the next task until
-none is left.  The call returns when every task is done.  Every output
-entry is still computed by one thread, in the same order, so the bytes
-do not depend on the number of threads.  The affinity mask
-(os.sched_setaffinity) is the one control; there is no thread pool, no
-OpenMP and no environment variable.  Every NaN that the strict product
-makes, in the kernel and in the loop, is numpy's quiet NaN: which of two
-NaNs an add or a multiply passes on depends on the operand order the
-compiler chose, so one NaN keeps the two paths' bytes equal.
+_strict_mm.c's header states how a kernel call runs as tasks on the CPUs
+of the calling thread's affinity mask with the same bytes for any number
+of threads, and why every NaN the strict product makes, there and in
+_mm_loop, is numpy's quiet NaN.
 
 No op writes to a Tensor's array; a tape is confined to one thread.
 """
@@ -396,11 +387,11 @@ def _vjp_conv2d(a, p, out, g, needs):
     co = w.shape[0]
     c, h, wd = x.shape
     ho, wo = h // s, wd // s
-    gf = np.ascontiguousarray(g).reshape(co, -1)  # see _vjp_matmul
+    gf = np.ascontiguousarray(g).reshape(co, ho * wo)  # see _vjp_matmul
     dw = np.matmul(gf, _im2col(x, s).T).reshape(w.shape) if needs[1] else None
     if not needs[0]:
         return None, dw
-    dcols = np.matmul(w.reshape(co, -1).T, gf).reshape(c, 3, 3, ho, wo)
+    dcols = np.matmul(w.reshape(co, c * 9).T, gf).reshape(c, 3, 3, ho, wo)
     dxp = np.zeros((c, h + 2, wd + 2), dtype=x.dtype)
     for dy in range(3):
         for dx in range(3):
@@ -428,15 +419,15 @@ def _vjp_transpose2d(a, p, out, g, needs):
 
 def _vjp_take_flat(a, p, out, g, needs):
     dx = np.zeros(a[0].shape, dtype=a[0].dtype)
-    np.add.at(dx.reshape(-1), p["idx"], g.reshape(-1))
+    np.add.at(dx.reshape(-1), p["idx"].reshape(-1), g.reshape(-1))
     return (dx,)
 
 
 def _vjp_take_axis(a, p, out, g, needs):
-    ax = p["axis"]
-    dx = np.zeros(a[0].shape, dtype=a[0].dtype)
-    dxm = np.moveaxis(dx, ax, 0)
-    np.add.at(dxm, p["idx"], np.moveaxis(g, ax, 0))
+    # g holds the index's axes where x holds axis ax; both go to the front.
+    idx, dx = p["idx"], np.zeros(a[0].shape, dtype=a[0].dtype)
+    ax = p["axis"] % dx.ndim
+    np.add.at(np.moveaxis(dx, ax, 0), idx, np.moveaxis(g, range(ax, ax + idx.ndim), range(idx.ndim)))
     return (dx,)
 
 

@@ -3,6 +3,7 @@
 import ctypes
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -124,6 +125,14 @@ class TestStrictKernel:
         assert not set(banned) & set(nm.STRICT_MM_FLAGS)
         # Threads are plain pthreads; OpenMP would obey OMP_NUM_THREADS, which BLAS users pin to 1.
         assert "-pthread" in nm.STRICT_MM_FLAGS and "-fopenmp" not in nm.STRICT_MM_FLAGS
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # -Wextra flags an unused parameter, such as one kept to fit a shared signature.
+        flags = [*nm.STRICT_MM_FLAGS, "-Wall", "-Wextra", "-Werror"]
+        done = subprocess.run(["gcc", *flags, "-o", str(tmp_path / "k.so"), str(nm.STRICT_MM_SOURCE)],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("m, k, n", KERNEL_SHAPES)
     def test_bytes_equal_numpy_loop(self, m, k, n):
@@ -311,8 +320,15 @@ def _split_min_work():
     return int(base) << int(shift)
 
 
+def _rows_per_task():
+    """MC from _strict_mm.c: the rows of c in one task, a number of MR-row tiles."""
+    src = nm.STRICT_MM_SOURCE.read_text()
+    tiles = re.search(r"#define MC \((\d+) \* MR\)", src).group(1)
+    return int(tiles) * int(re.search(r"#define MR (\d+)", src).group(1))
+
+
 SPLIT_MIN_WORK = _split_min_work()
-MC = 64  # strict_mm_f32's rows per task (16 tiles of 4)
+MC = _rows_per_task()
 TINY = np.finfo(np.float32).smallest_subnormal
 KERNEL_SPECIALS = np.array([-0.0, np.inf, -np.inf, np.nan, TINY, -TINY, 1e-40, -3e-39, 3e38, -3e38], np.float32)
 
@@ -409,8 +425,9 @@ class TestKernelThreads:
         assert_same_bytes(randf(m, k, lo=-2.0, hi=2.0, rng=rng), randf(k, n, rng=rng))
 
     # An odd number of 32-pixel panels (28 x 28 = 24.5 panels); the render
-    # block's 3 output channels at stride 2.
-    @pytest.mark.parametrize("ci, co, hw, s", [(32, 32, 28, 1), (64, 3, 128, 2)])
+    # block's 3 output channels at stride 2; a full block of MC output
+    # channels and a partial one.
+    @pytest.mark.parametrize("ci, co, hw, s", [(32, 32, 28, 1), (64, 3, 128, 2), (16, MC + 6, 24, 1)])
     def test_conv2d_split_edges(self, ci, co, hw, s):
         assert co * ci * 9 * (hw // s) ** 2 >= SPLIT_MIN_WORK
         rng = np.random.default_rng([ci, co, hw, s])
@@ -580,6 +597,29 @@ class TestPrimitiveGradients:
         idx = np.array([0, 0, 1, 3, 3, 3])
         loss, leaves = loss_through(None, x, builder=lambda t: nm.take_axis(t, idx, 0))
         check_grad(loss, leaves, tol=1e-4)
+
+    def test_take_flat_grad_with_a_2d_index(self):
+        rng = np.random.default_rng(79)
+        x, idx = randf(3, 4, rng=rng), np.array([[0, 5], [11, 5]])
+        loss, leaves = loss_through(None, x, builder=lambda t: nm.take_flat(t, idx, (2, 2)), rng=rng)
+        check_grad(loss, leaves, tol=1e-4)
+
+    def test_take_axis_grad_with_a_2d_index(self):
+        rng = np.random.default_rng(79)
+        idx = np.array([[0, 1], [2, 2]])
+        for axis in (0, 1, -1):
+            x = randf(3, 4, rng=rng)
+            loss, leaves = loss_through(None, x, builder=lambda t: nm.take_axis(t, idx, axis), rng=rng)
+            check_grad(loss, leaves, tol=1e-4)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_grad_without_output_channels(self, stride):
+        rng = np.random.default_rng(80)
+        tape = GradTape()
+        x, w = tape.leaf(randf(3, 4, 4, rng=rng)), tape.leaf(np.zeros((0, 3, 3, 3), np.float32))
+        dx, dw = nm.grad(nm.sum_all(nm.conv2d(x, w, stride=stride)), [x, w])
+        assert dx.data.shape == (3, 4, 4) and not dx.data.any()
+        assert dw.data.shape == (0, 3, 3, 3)
 
     def test_clip01_grad_interior(self):
         x = (RNG.uniform(0.05, 0.95, size=(4, 4))).astype(np.float32)
