@@ -1,4 +1,4 @@
-/* Strict-order float32 products, all row-major.
+/* Strict-order float32 products and cubic resampling, all row-major.
  *
  * strict_mm_f32: c = a @ b.  Each c[i,j] starts at +0.0f and adds the
  * float32 product a[i,kk]*b[kk,j] for kk = 0, 1, ..., k-1, rounding after
@@ -16,7 +16,7 @@
  * Only the tiling changes what runs: a tile of MR rows by NR columns of
  * accumulators is held in registers over the whole k loop, reading a
  * contiguous, zero-padded NR-column panel of the right operand.  The two
- * entry points differ only in how they fill the panel.  Compile with
+ * products differ only in how they fill the panel.  Compile with
  * -ffp-contract=off (no fused multiply-add) and never with -ffast-math or
  * any flag that lets the compiler reassociate the sum.
  *
@@ -26,7 +26,7 @@
  * second), and numpy's loops order theirs differently; with one NaN, the
  * bytes of c depend only on the values of a and b.
  *
- * Threads.  Both entry points cut their m x n output c (a convolution's
+ * Threads.  Both products cut their m x n output c (a convolution's
  * m is co, its n the output pixels) into the same tasks: task
  * t = p*chunks + r is rows [r*MC, r*MC + MC) of NR-column panel p, where
  * chunks = ceil(m / MC).  The tasks run on up to T threads: the caller's
@@ -43,6 +43,17 @@
  * multiply-adds (m*k*n; a convolution's k is ci*9).  The affinity mask is
  * the one control: there is no pool, no OpenMP and no environment
  * variable.  If a thread cannot be made, the others run its share.
+ *
+ * resample4_f32: four-tap resampling of the middle axis of x, viewed as
+ * (outer, n, inner), into out of shape (outer, nj, inner):
+ * out[o,j,i] = (t0*w0 + t1*w1) + (t2*w2 + t3*w3) with tk = x[o, idx[k,j], i]
+ * and wk = w[k,j], for idx (4,nj) of indices in [0, n) and w (4,nj).  Every
+ * product and sum rounds to float32 in that order, the order of the numpy
+ * form, so the bytes are the same.  It writes the final layout straight,
+ * with no copy of x and no array per tap, and runs on the caller's thread:
+ * the render's x8 upsample is 3.1M multiply-adds an axis, below
+ * SPLIT_MIN_WORK.  It allocates nothing and returns 0.  As in the
+ * products, every NaN in out is stored as 0x7fc00000.
  */
 #define _GNU_SOURCE
 #include <math.h>
@@ -270,4 +281,49 @@ int strict_conv3x3_f32(const float *x, const float *w, float *c, long ci, long h
     struct job j = {.fill = gather_panel, .a = w, .b = x, .c = c, .m = co, .k = ci * 9, .n = (h / s) * (wd / s),
                     .ci = ci, .h = h, .wd = wd, .s = s};
     return run_job(&j);
+}
+
+/* Store every NaN in d[0 .. len) as the quiet NaN 0x7fc00000. */
+static void one_nan(float *d, long len)
+{
+    for (long i = 0; i < len; i++)
+        d[i] = d[i] == d[i] ? d[i] : NAN;
+}
+
+/* One NaN test per row of out, not a select per entry: with restrict on
+ * every pointer, that lets gcc vectorize the last-axis loop with gathers. */
+int resample4_f32(const float *restrict x, const long *restrict idx, const float *restrict w, float *restrict out,
+                  long outer, long n, long inner, long nj)
+{
+    const long *restrict i0 = idx, *restrict i1 = idx + nj, *restrict i2 = idx + 2 * nj, *restrict i3 = idx + 3 * nj;
+    const float *restrict w0 = w, *restrict w1 = w + nj, *restrict w2 = w + 2 * nj, *restrict w3 = w + 3 * nj;
+    for (long o = 0; o < outer; o++) {
+        const float *restrict xo = x + o * n * inner;
+        float *restrict d = out + o * nj * inner;
+        if (inner == 1) {  /* the last axis: one row of nj outputs, each gathering its four taps */
+            int nan = 0;
+            for (long j = 0; j < nj; j++) {
+                float v = (xo[i0[j]] * w0[j] + xo[i1[j]] * w1[j]) + (xo[i2[j]] * w2[j] + xo[i3[j]] * w3[j]);
+                d[j] = v;
+                nan |= v != v;
+            }
+            if (nan)
+                one_nan(d, nj);
+            continue;
+        }
+        for (long j = 0; j < nj; j++, d += inner) {  /* a row of inner outputs from four contiguous rows */
+            const float *restrict r0 = xo + i0[j] * inner, *restrict r1 = xo + i1[j] * inner;
+            const float *restrict r2 = xo + i2[j] * inner, *restrict r3 = xo + i3[j] * inner;
+            float a0 = w0[j], a1 = w1[j], a2 = w2[j], a3 = w3[j];
+            int nan = 0;
+            for (long i = 0; i < inner; i++) {
+                float v = (r0[i] * a0 + r1[i] * a1) + (r2[i] * a2 + r3[i] * a3);
+                d[i] = v;
+                nan |= v != v;
+            }
+            if (nan)
+                one_nan(d, inner);
+        }
+    }
+    return 0;
 }

@@ -17,7 +17,10 @@ names the float32 one in use, "c" or "numpy"; only _strict_kernel reads
 it.  conv2d's float32 forward runs the kernel's second entry point, which
 gathers each 3x3 patch from the input as it fills the kernel's panels;
 the patch matrix that _im2col builds serves only the conv2d vjp, float64
-replay and the numpy fallback.  The kernel is built with
+replay and the numpy fallback.  resample_cubic_axis's float32 forward
+runs the third, resample4_f32, which writes each output from its four
+taps straight into the result; its numpy form, which gathers one array
+per tap, serves float64 replay and the fallback.  The kernel is built with
 -ffp-contract=off, so no multiply and add fuse into one rounding, and
 never with -ffast-math, -Ofast, -funsafe-math-optimizations or
 -fassociative-math: those reorder the sum, and a library linked with
@@ -25,10 +28,10 @@ them can switch on flush-to-zero for the whole process.  -march=native
 ties the object to the host, so it is cached per user under
 tempfile.gettempdir(), keyed by a hash of the source and the flags.
 
-_strict_mm.c's header states how a kernel call runs as tasks on the CPUs
-of the calling thread's affinity mask with the same bytes for any number
-of threads, and why every NaN the strict product makes, there and in
-_mm_loop, is numpy's quiet NaN.
+_strict_mm.c's header states how a product runs as tasks on the CPUs of
+the calling thread's affinity mask with the same bytes for any number of
+threads, and why every NaN the strict product and the resample make,
+there and in their numpy forms, is numpy's quiet NaN.
 
 No op writes to a Tensor's array; a tape is confined to one thread.
 """
@@ -42,6 +45,7 @@ import os
 import subprocess
 import tempfile
 from functools import lru_cache
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +72,21 @@ def _shape_error(op, *shapes):
 
 STRICT_MM_SOURCE = Path(__file__).with_name("_strict_mm.c")
 STRICT_MM_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
+# The library's entry points: name -> (operand dtypes, size arguments).  Each
+# takes a pointer to each operand, then one to its float32 output, then the
+# sizes.  np.intp is C's long on the LP64 hosts the kernel is built on.
+STRICT_MM_ENTRIES = {
+    "strict_mm_f32": ((F32, F32), 3),
+    "strict_conv3x3_f32": ((F32, F32), 5),
+    "resample4_f32": ((F32, np.intp, F32), 4),
+}
 
 
 def _load_strict_mm():
     """Compile (once per host and source) and load the C kernels' library; None if that fails.
 
-    The library exports strict_mm_f32 and strict_conv3x3_f32, their
-    argument types set; if either is missing, none is loaded.
+    The library exports every entry point of STRICT_MM_ENTRIES, their
+    argument types set; if one is missing, none is loaded.
     """
     try:
         src = STRICT_MM_SOURCE.read_bytes()
@@ -98,8 +110,9 @@ def _load_strict_mm():
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         dll = ctypes.CDLL(str(lib))
-        for fn, n_sizes in ((dll.strict_mm_f32, 3), (dll.strict_conv3x3_f32, 5)):
-            fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * n_sizes
+        for name, (dtypes, n_sizes) in STRICT_MM_ENTRIES.items():
+            fn = getattr(dll, name)
+            fn.argtypes = [ctypes.c_void_p] * (len(dtypes) + 1) + [ctypes.c_long] * n_sizes
             fn.restype = ctypes.c_int
     except (OSError, AttributeError, subprocess.CalledProcessError):
         return None
@@ -110,20 +123,21 @@ _dll = _load_strict_mm()
 STRICT_MATMUL = "numpy" if _dll is None else "c"
 
 
-def _strict_kernel(entry, a, b, out_shape, *sizes):
-    """Run the C entry point on a and b into a new out_shape array; None where the numpy loop runs.
+def _strict_kernel(entry, operands, out_shape, *sizes):
+    """Run the C entry point on operands into a new float32 out_shape array; None where numpy runs.
 
-    This is where the kernel or the loop is chosen: the loop runs at any
-    dtype but float32 and whenever STRICT_MATMUL is not "c".  The kernel
-    trusts the sizes it is given; each op's check runs before its forward.
+    This is where the kernel or the numpy form is chosen: numpy runs when
+    the first operand is not float32 and whenever STRICT_MATMUL is not "c".
+    Each operand is passed as a C-contiguous array of the dtype the entry
+    point reads.  The kernel trusts the sizes it is given; each op's check
+    runs before its forward.
     """
-    if a.dtype != F32 or STRICT_MATMUL != "c":
+    if operands[0].dtype != F32 or STRICT_MATMUL != "c":
         return None
-    a = np.ascontiguousarray(a, dtype=F32)
-    b = np.ascontiguousarray(b, dtype=F32)
+    arrays = [np.ascontiguousarray(x, dtype=d) for x, d in zip(operands, STRICT_MM_ENTRIES[entry][0])]
     out = np.empty(out_shape, dtype=F32)
     # Unlike x.ctypes.data, __array_interface__ leaves no cached ctypes objects behind.
-    ptrs = [x.__array_interface__["data"][0] for x in (a, b, out)]
+    ptrs = [x.__array_interface__["data"][0] for x in (*arrays, out)]
     if getattr(_dll, entry)(*ptrs, *sizes):
         raise MemoryError(f"{entry}: no buffer for a 32-column panel")
     return out
@@ -190,7 +204,11 @@ def _sigmoid(x):
 
 @lru_cache(maxsize=None)
 def _catmull_rom_taps(n, factor):
-    """Clamped tap indices (4,n*f) and weights for 1-D Catmull-Rom resampling."""
+    """Clamped tap indices (4,n*f) and float32 weights for 1-D Catmull-Rom resampling.
+
+    Both arrays are read-only: every call with the same n and factor gets
+    the same two arrays, and the kernel reads them by pointer.
+    """
     n_out = n * factor
     i = np.arange(n_out, dtype=np.float64)
     s = (i + 0.5) / factor - 0.5
@@ -202,7 +220,10 @@ def _catmull_rom_taps(n, factor):
     w[2] = 0.5 * t + 2.0 * t * t - 1.5 * t ** 3
     w[3] = -0.5 * t * t + 0.5 * t ** 3
     idx = np.stack([np.clip(base + k - 1, 0, n - 1) for k in range(4)])
-    return idx, w.astype(F32)
+    w = w.astype(F32)
+    idx.setflags(write=False)
+    w.setflags(write=False)
+    return idx, w
 
 
 def _unbroadcast(g, shape):
@@ -255,7 +276,7 @@ def _fwd_matmul(a, p):
     same bytes; _strict_kernel picks which one runs.
     """
     (m, k), n = a[0].shape, a[1].shape[1]
-    out = _strict_kernel("strict_mm_f32", *a, (m, n), m, k, n)
+    out = _strict_kernel("strict_mm_f32", a, (m, n), m, k, n)
     return _mm_loop(*a) if out is None else out
 
 
@@ -264,7 +285,7 @@ def _fwd_conv2d(a, p):
     s = p["stride"]
     co = w.shape[0]
     c, h, wd = x.shape
-    out = _strict_kernel("strict_conv3x3_f32", x, w, (co, h // s, wd // s), c, h, wd, co, s)
+    out = _strict_kernel("strict_conv3x3_f32", a, (co, h // s, wd // s), c, h, wd, co, s)
     if out is None:
         out = _mm_loop(w.reshape(co, c * 9), _im2col(x, s)).reshape(co, h // s, wd // s)
     return out
@@ -307,10 +328,17 @@ def _fwd_lerp(a, p):
 
 
 def _fwd_resample_cubic_axis(a, p):
-    ax = p["axis"]
+    x = a[0]
+    ax = p["axis"] % x.ndim
+    idx, w = _catmull_rom_taps(x.shape[ax], p["factor"])
+    nj = idx.shape[1]
+    out = _strict_kernel("resample4_f32", (x, idx, w), x.shape[:ax] + (nj,) + x.shape[ax + 1:],
+                         prod(x.shape[:ax]), x.shape[ax], prod(x.shape[ax + 1:]), nj)
+    if out is not None:
+        return out
+    # The numpy form, for float64 replay and where the kernel is missing.
     # With the axis leading, each tap gathers whole contiguous rows.
-    x = np.ascontiguousarray(np.moveaxis(a[0], ax, 0))
-    idx, w = _catmull_rom_taps(x.shape[0], p["factor"])
+    x = np.ascontiguousarray(np.moveaxis(x, ax, 0))
     w = w.astype(x.dtype, copy=False).reshape(w.shape + (1,) * (x.ndim - 1))
 
     def tap(k):
@@ -318,12 +346,15 @@ def _fwd_resample_cubic_axis(a, p):
         t *= w[k]
         return t
 
-    # (t0*w0 + t1*w1) + (t2*w2 + t3*w3), the order of the take/mul/add composite
-    out = tap(0)
-    out += tap(1)
-    hi = tap(2)
-    hi += tap(3)
-    out += hi
+    # (t0*w0 + t1*w1) + (t2*w2 + t3*w3), the order of the take/mul/add
+    # composite; like the kernel, silent about inf - inf and overflow.
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = tap(0)
+        out += tap(1)
+        hi = tap(2)
+        hi += tap(3)
+        out += hi
+    np.copyto(out, np.nan, where=np.isnan(out))  # one NaN, as in the kernel
     return np.ascontiguousarray(np.moveaxis(out, 0, ax))
 
 
@@ -800,7 +831,9 @@ def resample_cubic_axis(x, factor, axis):
 
     Output sample j reads the four clamped input samples t0..t3 around it
     and sums (t0*w0 + t1*w1) + (t2*w2 + t3*w3) in float32, with float32
-    weights. See upsample_cubic.
+    weights. Every NaN in the result is the quiet NaN 0x7fc00000, whichever
+    NaN or inf - inf made it, and the op emits no numpy RuntimeWarning. See
+    upsample_cubic.
     """
     return _apply("resample_cubic_axis", (x,), factor=factor, axis=index_arg(axis, "resample_cubic_axis: axis"))
 

@@ -113,6 +113,23 @@ CONV_SHAPES = [
     (2, 3, 3, 32, 1), (2, 3, 2, 64, 2), (3, 5, 2, 64, 1),
 ]
 
+# The render block's x8 upsample, one resample per axis: (input shape, axis).
+RENDER_RESAMPLES = [((3, 64, 64), 1), ((3, 512, 64), 2)]
+
+
+def resample_input(shape, seed, specials):
+    """A standard-normal float32 map, a 16th of whose entries are drawn from the specials.
+
+    So some infinities sit next to one of the other sign, or at a border,
+    where the clamped taps read one sample with weights of both signs:
+    their sum is inf - inf.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(np.float32)
+    mask = rng.random(shape) < 1 / 16
+    x[mask] = rng.choice(np.float32(specials), int(mask.sum()))
+    return x
+
 
 class TestStrictKernel:
     def test_c_kernel_is_active(self):
@@ -264,11 +281,18 @@ class TestStrictKernel:
     def test_numpy_fallback_gives_the_same_bytes(self, monkeypatch):
         a, b = krandf(37, 130, lo=-2.0), krandf(130, 45, lo=-2.0)
         x, w = krandf(8, 12, 12), krandf(4, 8, 3, 3)
+        maps = [resample_input(shape, 20261101, [np.inf, -np.inf, np.nan, -np.nan]) for shape, _ in RENDER_RESAMPLES]
         kernel = nm.matmul(a, b).data, nm.conv2d(x, w).data
+        resampled = [nm.resample_cubic_axis(y, 8, ax).data for y, (_, ax) in zip(maps, RENDER_RESAMPLES)]
         monkeypatch.setattr(nm, "STRICT_MATMUL", "numpy")
         monkeypatch.setattr(nm, "_dll", None)  # the loop must not reach the kernel
         assert nm.matmul(a, b).data.tobytes() == kernel[0].tobytes()
         assert nm.conv2d(x, w).data.tobytes() == kernel[1].tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y, (_, ax), want in zip(maps, RENDER_RESAMPLES, resampled):
+                assert set(want.view(np.uint32)[np.isnan(want)].tolist()) == {0x7FC00000}
+                assert nm.resample_cubic_axis(y, 8, ax).data.tobytes() == want.tobytes()
 
     def test_numpy_loop_warns_as_little_as_the_kernel(self, monkeypatch):
         # 0 * inf (NaN) and 1e30 * 1e30 (inf): the kernel is silent, so the loop must be too.
@@ -278,10 +302,16 @@ class TestStrictKernel:
         a[2, 3], b[3, 4] = 1e30, 1e30
         kernel = nm.matmul(a, b).data
         assert np.isnan(kernel[0, 2]) and np.isinf(kernel[2, 4])
+        # What makes numpy warn: inf - inf in the taps' sums, and weighted sums of
+        # +-3e38 samples that can pass the float32 range.
+        maps = [resample_input(shape, 20261102, [np.inf, -np.inf, np.nan, 3e38, -3e38]) for shape, _ in RENDER_RESAMPLES]
+        resampled = [nm.resample_cubic_axis(y, 8, ax).data for y, (_, ax) in zip(maps, RENDER_RESAMPLES)]
         monkeypatch.setattr(nm, "STRICT_MATMUL", "numpy")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert nm.matmul(a, b).data.tobytes() == kernel.tobytes()
+            for y, (_, ax), want in zip(maps, RENDER_RESAMPLES, resampled):
+                assert nm.resample_cubic_axis(y, 8, ax).data.tobytes() == want.tobytes()
 
     def test_no_compiler_means_no_kernel(self, monkeypatch, tmp_path):
         def no_gcc(*args, **kwargs):
@@ -290,6 +320,14 @@ class TestStrictKernel:
         monkeypatch.setattr(nm.subprocess, "run", no_gcc)
         assert nm._load_strict_mm() is None
         assert not any(p.suffix == ".so" for p in tmp_path.rglob("*"))
+
+    def test_a_library_missing_an_entry_point_loads_none(self, monkeypatch, tmp_path):
+        src = tmp_path / "_strict_mm.c"
+        src.write_text(nm.STRICT_MM_SOURCE.read_text().replace("resample4_f32", "resample4_f32_renamed"))
+        monkeypatch.setattr(nm, "STRICT_MM_SOURCE", src)
+        monkeypatch.setattr(nm.tempfile, "tempdir", str(tmp_path))
+        assert nm._load_strict_mm() is None
+        assert any(p.suffix == ".so" for p in tmp_path.rglob("*"))  # it was built, and then refused
 
     def test_cached_object_is_reused(self, monkeypatch, tmp_path):
         monkeypatch.setattr(nm.tempfile, "tempdir", str(tmp_path))
@@ -385,6 +423,29 @@ def split_convs(draw):
     return conv_operands(draw, ci, co, ho, wo, s)
 
 
+@st.composite
+def resamples(draw):
+    """x, factor and axis: n in 1..70 samples on the axis, 1 to 3 dimensions, the others 0..17 long."""
+    nd = draw(st.integers(1, 3))
+    axis = draw(st.integers(-nd, nd - 1))
+    shape = [draw(st.integers(0, 17)) for _ in range(nd)]
+    shape[axis] = draw(st.integers(1, 70))
+    return draw(kernel_entries(tuple(shape))), draw(st.integers(1, 9)), axis
+
+
+def assert_resample_same_bytes(x, factor, axis):
+    """The kernel's resample and the numpy form's: the same bytes, one NaN, and no warning from either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nm.resample_cubic_axis(x, factor, axis).data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nm, "STRICT_MATMUL", "numpy")
+            want = nm.resample_cubic_axis(x, factor, axis).data
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert set(got.view(np.uint32)[np.isnan(got)].tolist()) <= {0x7FC00000}
+
+
 class TestKernelProperties:
     """The C entry points against their numpy loops, byte for byte, on drawn shapes and entries."""
 
@@ -407,6 +468,11 @@ class TestKernelProperties:
     @settings(max_examples=20, deadline=None)
     def test_conv2d_above_the_split_threshold(self, xws):
         assert_conv_same_bytes(*xws)
+
+    @given(resamples())
+    @settings(max_examples=60, deadline=None)
+    def test_resample(self, xfa):
+        assert_resample_same_bytes(*xfa)
 
 
 class TestKernelThreads:
@@ -1275,3 +1341,27 @@ class TestResampleCubicAxis:
                 nm.resample_cubic_axis(np.zeros((4, 4, 3), np.float32), 2, axis)
             with pytest.raises(TypeError):
                 nm.upsample_cubic(np.zeros((4, 4, 3), np.float32), 2, axes=(axis,))
+
+
+class TestResampleMemory:
+    """What the resample op keeps and allocates."""
+
+    def test_cached_taps_are_read_only(self):
+        # Every resample of the same n and factor reads these two arrays.
+        idx, w = nm._catmull_rom_taps(4, 2)
+        for taps in (idx, w):
+            with pytest.raises(ValueError, match="read-only"):
+                taps[0, 0] = 9
+
+    def test_forward_allocates_the_output_alone(self):
+        # The render's last axis: no copy of the input and no array per tap.
+        x = np.random.default_rng(20261103).standard_normal((3, 512, 64)).astype(np.float32)
+        nm.resample_cubic_axis(x, 8, 2)  # the taps are cached per (n, factor)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nm.resample_cubic_axis(x, 8, 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 512 * 512 * 4 + 64 * 1024
