@@ -7,7 +7,8 @@ order (matmul and conv accumulate strictly left-to-right over the
 contraction axis), so two runs over the same inputs produce identical
 bytes.  grad() walks the tape in reverse to return dLoss/dLeaf.  A live
 op and replay() both run an op through its one _Op call, which checks the
-operands and then runs the forward at their dtype.
+operands and then runs the forward at their dtype.  group_norm, too, is
+one op, with its steps in place and a closed-form vjp.
 
 The strict-order product has two implementations that give the same
 bytes.  At float32 it runs a small C kernel (_strict_mm.c), compiled with
@@ -45,7 +46,7 @@ import os
 import subprocess
 import tempfile
 from functools import lru_cache
-from math import prod
+from math import isfinite, prod
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,23 @@ def _fwd_clip01(a, p):
     return np.clip(a[0], 0.0, 1.0)
 
 
+def _normalized_groups(x, groups, eps):
+    """x's groups as rows, normalized by group_norm's first five steps, and the rows' rsqrt factors."""
+    xg = x.reshape(groups, -1)
+    out = xg - xg.mean(axis=1, keepdims=True)
+    r = _fwd_rsqrt_eps(((out * out).mean(axis=1, keepdims=True),), {"eps": eps})
+    out *= r
+    return out, r
+
+
+def _fwd_group_norm(a, p):
+    x, gamma, beta = a
+    out = _normalized_groups(x, p["groups"], p["eps"])[0].reshape(x.shape)
+    out *= gamma.reshape(-1, 1, 1)
+    out += beta.reshape(-1, 1, 1)
+    return out
+
+
 # Each vjp returns one cotangent per input.  needs[i] says whether input i
 # leads to a leaf grad() was asked about; the vjps of the ops with two inputs
 # return None for an input that does not.  A unary op's input is needed
@@ -507,6 +525,22 @@ def _vjp_clip01(a, p, out, g, needs):
     return (g * ((x > 0.0) & (x < 1.0)),)
 
 
+def _vjp_group_norm(a, p, out, g, needs):
+    # With x^ the normalized groups, r their rsqrt factor and d = g*gamma,
+    # per group: dx = r*(d - mean(d) - x^*mean(d*x^)).
+    x, gamma, beta = a
+    xhat, r = _normalized_groups(x, p["groups"], p["eps"])
+    dx = None
+    if needs[0]:
+        d = (g * gamma.reshape(-1, 1, 1)).reshape(xhat.shape)
+        dx = d - d.mean(axis=1, keepdims=True)
+        dx -= xhat * (d * xhat).mean(axis=1, keepdims=True)
+        dx *= r
+        dx = dx.reshape(x.shape)
+    return (dx, (g * xhat.reshape(x.shape)).sum(axis=(1, 2)) if needs[1] else None,
+            g.sum(axis=(1, 2)) if needs[2] else None)
+
+
 def _check_broadcast(name):
     def check(arrays, params):
         try:
@@ -572,6 +606,17 @@ def _check_resample_cubic_axis(arrays, params):
         raise IndexError(f"resample_cubic_axis: axis {ax} out of range for {nd} dimensions")
 
 
+def _check_group_norm(arrays, params):
+    x, gamma, beta = arrays
+    if x.ndim != 3 or gamma.shape != x.shape[:1] or beta.shape != x.shape[:1]:
+        raise _shape_error("group_norm", x.shape, gamma.shape, beta.shape)
+    groups, eps = params["groups"], params["eps"]
+    if groups < 1 or x.shape[0] % groups:
+        raise _shape_error("group_norm(groups)", x.shape, (groups,))
+    if not (isfinite(eps) and x.dtype.type(eps) > 0):
+        raise ValueError(f"group_norm: eps must be finite and > 0 at the operands' dtype, got {eps!r}")
+
+
 _OPS = {
     "add": _Op(_fwd_add, _vjp_add, _check_broadcast("add")),
     "sub": _Op(_fwd_sub, _vjp_sub, _check_broadcast("sub")),
@@ -592,6 +637,7 @@ _OPS = {
     "mean_all": _Op(_fwd_mean_all, _vjp_mean_all),
     "rsqrt_eps": _Op(_fwd_rsqrt_eps, _vjp_rsqrt_eps),
     "clip01": _Op(_fwd_clip01, _vjp_clip01),
+    "group_norm": _Op(_fwd_group_norm, _vjp_group_norm, _check_group_norm),
 }
 
 
@@ -764,10 +810,13 @@ def take_flat(x, idx, out_shape):
 
 
 def index_arg(value, what):
-    """value as an int; TypeError for a bool (operator.index(True) is 1) or a non-integer."""
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
+    """value as an int; TypeError naming what for a bool (operator.index(True) is 1) or a non-integer."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def take_axis(x, idx, axis):
@@ -811,19 +860,19 @@ def lerp(a, b, alpha):
 
 
 def group_norm(x, gamma, beta, groups=4, eps=1e-5):
-    """Group normalization of a (C,H,W) map with per-channel affine."""
-    c, h, w = (x.shape if isinstance(x, Tensor) else np.asarray(x).shape)
-    if groups < 1:
-        raise ValueError(f"group_norm: groups must be >= 1, got {groups}")
-    if c % groups:
-        raise _shape_error("group_norm", (c, h, w), (groups,))
-    xg = reshape(x, (groups, (c // groups) * h * w))
-    mu = mean_axes(xg, (1,))
-    cen = sub(xg, mu)
-    var = mean_axes(mul(cen, cen), (1,))
-    y = mul(cen, rsqrt_eps(var, eps))
-    y = reshape(y, (c, h, w))
-    return add(mul(y, reshape(gamma, (c, 1, 1))), reshape(beta, (c, 1, 1)))
+    """Group normalization of a (C,H,W) map with a per-channel affine, as one op and one tape record.
+
+    Each group of C/groups channels is one row of C/groups*H*W entries in
+    memory order.  The forward runs these steps in this order, at the
+    operands' dtype: mu = mean(row), out = row - mu, var = mean(out*out),
+    r = 1/sqrt(var + eps), out *= r, out *= gamma[c], out += beta[c].  Every
+    mean is numpy's over the contiguous row, so the bytes are those of the
+    same steps as separate reshape, mean_axes, sub, mul, rsqrt_eps and add
+    ops.  gamma and beta must be (C,) and groups an integer >= 1 dividing C
+    (ShapeMismatchError, TypeError); eps must be finite and > 0 once rounded
+    to the operands' dtype (ValueError).
+    """
+    return _apply("group_norm", (x, gamma, beta), groups=index_arg(groups, "group_norm: groups"), eps=float(eps))
 
 
 def resample_cubic_axis(x, factor, axis):

@@ -732,11 +732,12 @@ def record_every_op(tape, rng):
     x, y = tape.leaf(randf(4, 6, rng=rng)), tape.leaf(randf(4, 6, rng=rng))
     w = tape.leaf(randf(6, 3, rng=rng))
     img, k = tape.leaf(randf(2, 4, 4, rng=rng)), tape.leaf(randf(3, 2, 3, 3, rng=rng))
-    return [x, y, w, img, k], [nm.add(x, y), nm.sub(x, y), -x, nm.matmul(x, w), nm.conv2d(img, k, stride=2),
+    gm, bt = tape.leaf(randf(2, rng=rng)), tape.leaf(randf(2, rng=rng))
+    return [x, y, w, img, k, gm, bt], [nm.add(x, y), nm.sub(x, y), -x, nm.matmul(x, w), nm.conv2d(img, k, stride=2),
             nm.silu(x), nm.softmax_last(x), nm.reshape(x, (6, 4)), nm.transpose2d(x),
             nm.take_flat(x, [0, 5, 23], (3,)), nm.take_axis(x, [3, 0, 3], 0), nm.lerp(x, y, 0.3),
             nm.resample_cubic_axis(img, 2, 1), nm.mean_axes(x, (1,)), nm.sum_all(x), nm.mean_all(x),
-            nm.rsqrt_eps(nm.mul(x, x)), nm.clip01(x)]
+            nm.rsqrt_eps(nm.mul(x, x)), nm.clip01(x), nm.group_norm(img, gm, bt, groups=1)]
 
 
 # op, its operands' shapes, the operand replaced in replay and the wrong shape put in
@@ -744,6 +745,7 @@ BAD_OVERRIDES = {
     "matmul": (nm.matmul, [(3, 5), (5, 2)], 0, (3, 4)),
     "conv2d": (nm.conv2d, [(3, 4, 4), (2, 3, 3, 3)], 0, (4, 4, 4)),
     "lerp": (lambda a, b: nm.lerp(a, b, 0.5), [(3, 4), (3, 4)], 1, (1, 4)),
+    "group_norm": (lambda x, g, b: nm.group_norm(x, g, b, groups=2), [(4, 3, 3), (4,), (4,)], 0, (4, 9)),
 }
 
 
@@ -1116,6 +1118,30 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="groups"):
             nm.group_norm(randf(4, 3, 3, rng=rng), randf(4, rng=rng), randf(4, rng=rng), groups=groups)
 
+    @pytest.mark.parametrize("shapes", [
+        [(4, 9), (4,), (4,)],
+        [(1, 4, 3, 3), (4,), (4,)],
+        [(4, 3, 3), (3,), (4,)],
+        [(4, 3, 3), (4,), (4, 1, 1)],
+        [(6, 3, 3), (6,), (6,)],  # 4 groups do not divide 6 channels
+    ])
+    def test_group_norm_rejects_bad_shapes(self, shapes):
+        rng = np.random.default_rng(82)
+        with pytest.raises(ShapeMismatchError, match="group_norm"):
+            nm.group_norm(*[randf(*s, rng=rng) for s in shapes], groups=4)
+
+    @pytest.mark.parametrize("groups", [True, 2.0])
+    def test_group_norm_rejects_groups_that_are_not_integers(self, groups):
+        rng = np.random.default_rng(83)
+        with pytest.raises(TypeError, match="groups"):
+            nm.group_norm(randf(4, 3, 3, rng=rng), randf(4, rng=rng), randf(4, rng=rng), groups=groups)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan, 1e-50])  # 1e-50 is 0 as a float32
+    def test_group_norm_rejects_eps_not_finite_and_positive(self, eps):
+        rng = np.random.default_rng(84)
+        with pytest.raises(ValueError, match="eps"):
+            nm.group_norm(randf(4, 3, 3, rng=rng), randf(4, rng=rng), randf(4, rng=rng), groups=2, eps=eps)
+
 
 class TestResampling:
     def test_factor_one_identity(self):
@@ -1365,3 +1391,114 @@ class TestResampleMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 512 * 512 * 4 + 64 * 1024
+
+
+def composite_group_norm(x, gamma, beta, groups=4, eps=1e-5):
+    """The former group_norm: 12 reshape, mean_axes, sub, mul, rsqrt_eps and add records."""
+    c, h, w = x.shape
+    xg = nm.reshape(x, (groups, (c // groups) * h * w))
+    mu = nm.mean_axes(xg, (1,))
+    cen = nm.sub(xg, mu)
+    var = nm.mean_axes(nm.mul(cen, cen), (1,))
+    y = nm.mul(cen, nm.rsqrt_eps(var, eps))
+    y = nm.reshape(y, (c, h, w))
+    return nm.add(nm.mul(y, nm.reshape(gamma, (c, 1, 1))), nm.reshape(beta, (c, 1, 1)))
+
+
+@st.composite
+def group_norm_operands(draw):
+    """x, gamma, beta and groups: C = groups * (channels per group), x scaled by 0.01..10.
+
+    At least one group of x holds a single drawn value: its variance is 0.
+    """
+    groups, per = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    c, h, w = groups * per, draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = (rng.standard_normal((c, h, w)) * 10 ** rng.uniform(-2, 1)).astype(np.float32)
+    for k in draw(st.sets(st.integers(0, groups - 1), min_size=1)):
+        x[k * per:(k + 1) * per] = draw(st.floats(-10, 10, width=32))
+    gamma = (1.0 + rng.standard_normal(c)).astype(np.float32)
+    return x, gamma, rng.standard_normal(c).astype(np.float32), groups
+
+
+@st.composite
+def group_norm_grad_operands(draw):
+    """x, gamma, beta, groups and a cotangent r; x scaled by 0.01..10, each group 18 entries or more.
+
+    In a group of two entries the x gradient is nearly 0, and both forms
+    give rounding noise, which no bound relative to it can hold.
+    """
+    shape = draw(st.sampled_from([(8, 3, 3), (64, 8, 8), (12, 5, 7)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = (rng.uniform(-1.0, 1.0, shape) * 10 ** rng.uniform(-2, 1)).astype(np.float32)
+    gamma, beta = rng.uniform(-1.0, 1.0, (2, shape[0])).astype(np.float32)
+    r = rng.standard_normal(shape).astype(np.float32)
+    return x, gamma, beta, draw(st.sampled_from([1, 2, 4])), r
+
+
+def group_norm_grads(norm, x, gamma, beta, groups, r, which=(0, 1, 2)):
+    """norm's gradients of sum(norm(x, gamma, beta) * r) for the operands numbered in which."""
+    tape = GradTape()
+    xs = [tape.leaf(a) for a in (x, gamma, beta)]
+    loss = nm.sum_all(nm.mul(norm(*xs, groups=groups), r))
+    return [g.data for g in nm.grad(loss, [xs[i] for i in which])]
+
+
+class TestGroupNorm:
+    """group_norm as one op: the composite's forward bytes and a closed-form vjp."""
+
+    @given(group_norm_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_bytes_equal_the_composite(self, xgbg):
+        *operands, groups = xgbg
+        got, want = GradTape(), GradTape()
+        y = nm.group_norm(*[got.leaf(a) for a in operands], groups=groups)
+        ref = composite_group_norm(*[want.leaf(a) for a in operands], groups=groups)
+        assert y.data.dtype == np.float32 and y.data.tobytes() == ref.data.tobytes()
+        y64, ref64 = got.replay(dtype=np.float64)[y.node], want.replay(dtype=np.float64)[ref.node]
+        assert y64.dtype == np.float64 and y64.tobytes() == ref64.tobytes()
+
+    def test_render_shape_bytes(self):
+        rng = np.random.default_rng(20261301)
+        x = rng.standard_normal((64, 64, 64)).astype(np.float32)
+        gamma, beta = (1.0 + 0.1 * rng.standard_normal((2, 64))).astype(np.float32)
+        got = nm.group_norm(x, gamma, beta).data
+        assert got.tobytes() == composite_group_norm(x, gamma, beta).data.tobytes()
+
+    @given(group_norm_grad_operands())
+    @settings(max_examples=40, deadline=None)
+    def test_vjp_matches_the_composite_gradient(self, xgbgr):
+        got = group_norm_grads(nm.group_norm, *xgbgr)
+        want = group_norm_grads(composite_group_norm, *xgbgr)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+
+    def test_a_taped_call_is_one_record(self):
+        rng = np.random.default_rng(20261302)
+        tape = GradTape()
+        nm.group_norm(tape.leaf(randf(8, 3, 3, rng=rng)), randf(8, rng=rng), randf(8, rng=rng))
+        assert [rec.op for rec in tape.records] == ["group_norm"]
+
+    def test_gamma_alone_gets_the_gradient_all_three_get(self, monkeypatch):
+        rng = np.random.default_rng(20261303)
+        x, gamma, beta = randf(8, 3, 3, rng=rng), randf(8, rng=rng), randf(8, rng=rng)
+        r = randf(8, 3, 3, rng=rng)
+        full = group_norm_grads(nm.group_norm, x, gamma, beta, 4, r)
+        calls = spy_vjps(monkeypatch, ["group_norm"])
+        (alone,) = group_norm_grads(nm.group_norm, x, gamma, beta, 4, r, which=(1,))
+        assert alone.tobytes() == full[1].tobytes()
+        ((_, needs, (dx, _, dbeta)),) = calls
+        assert needs == (False, True, False) and dx is None and dbeta is None
+
+    def test_forward_holds_the_output_and_one_temporary(self):
+        # The render's (64, 64, 64) map: the output and out*out, 1 MiB each.
+        rng = np.random.default_rng(20261304)
+        x, gamma, beta = randf(64, 64, 64, rng=rng), randf(64, rng=rng), randf(64, rng=rng)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nm.group_norm(x, gamma, beta)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 64 ** 3 * 4 + 64 * 1024
