@@ -13,9 +13,9 @@ one op, with its steps in place and a closed-form vjp.
 The strict-order product has two implementations that give the same
 bytes.  At float32 it runs a small C kernel (_strict_mm.c), compiled with
 gcc at first import and loaded through ctypes; at float64, and wherever
-the kernel cannot be built, it runs a numpy loop over k.  STRICT_MATMUL
-names the float32 one in use, "c" or "numpy"; only _strict_kernel reads
-it.  conv2d's float32 forward runs the kernel's second entry point, which
+the kernel cannot be built, it runs a numpy loop over k.  The one switch
+is whether the library loaded (_dll); only _strict_kernel reads it.
+conv2d's float32 forward runs the kernel's second entry point, which
 gathers each 3x3 patch from the input as it fills the kernel's panels;
 the patch matrix that _im2col builds serves only the conv2d vjp, float64
 replay and the numpy fallback.  resample_cubic_axis's float32 forward
@@ -121,19 +121,18 @@ def _load_strict_mm():
 
 
 _dll = _load_strict_mm()
-STRICT_MATMUL = "numpy" if _dll is None else "c"
 
 
 def _strict_kernel(entry, operands, out_shape, *sizes):
     """Run the C entry point on operands into a new float32 out_shape array; None where numpy runs.
 
     This is where the kernel or the numpy form is chosen: numpy runs when
-    the first operand is not float32 and whenever STRICT_MATMUL is not "c".
+    the first operand is not float32 and wherever the library did not load.
     Each operand is passed as a C-contiguous array of the dtype the entry
     point reads.  The kernel trusts the sizes it is given; each op's check
     runs before its forward.
     """
-    if operands[0].dtype != F32 or STRICT_MATMUL != "c":
+    if operands[0].dtype != F32 or _dll is None:
         return None
     arrays = [np.ascontiguousarray(x, dtype=d) for x, d in zip(operands, STRICT_MM_ENTRIES[entry][0])]
     out = np.empty(out_shape, dtype=F32)
@@ -314,10 +313,6 @@ def _fwd_transpose2d(a, p):
     return np.ascontiguousarray(a[0].T)
 
 
-def _fwd_take_flat(a, p):
-    return a[0].reshape(-1)[p["idx"]].reshape(p["out_shape"])
-
-
 def _fwd_take_axis(a, p):
     return np.take(a[0], p["idx"], axis=p["axis"])
 
@@ -466,12 +461,6 @@ def _vjp_transpose2d(a, p, out, g, needs):
     return (np.ascontiguousarray(g.T),)
 
 
-def _vjp_take_flat(a, p, out, g, needs):
-    dx = np.zeros(a[0].shape, dtype=a[0].dtype)
-    np.add.at(dx.reshape(-1), p["idx"].reshape(-1), g.reshape(-1))
-    return (dx,)
-
-
 def _vjp_take_axis(a, p, out, g, needs):
     # g holds the index's axes where x holds axis ax; both go to the front.
     idx, dx = p["idx"], np.zeros(a[0].shape, dtype=a[0].dtype)
@@ -577,12 +566,6 @@ def _check_transpose2d(arrays, params):
         raise _shape_error("transpose2d", arrays[0].shape)
 
 
-def _check_take_flat(arrays, params):
-    idx = params["idx"]
-    if idx.size and (idx.min() < 0 or idx.max() >= arrays[0].size):
-        raise IndexError("take_flat: index out of range")
-
-
 def _check_take_axis(arrays, params):
     idx, n = params["idx"], arrays[0].shape[params["axis"]]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -628,7 +611,6 @@ _OPS = {
     "softmax_last": _Op(_fwd_softmax_last, _vjp_softmax_last),
     "reshape": _Op(_fwd_reshape, _vjp_reshape, _check_reshape),
     "transpose2d": _Op(_fwd_transpose2d, _vjp_transpose2d, _check_transpose2d),
-    "take_flat": _Op(_fwd_take_flat, _vjp_take_flat, _check_take_flat),
     "take_axis": _Op(_fwd_take_axis, _vjp_take_axis, _check_take_axis),
     "lerp": _Op(_fwd_lerp, _vjp_lerp, _check_lerp),
     "resample_cubic_axis": _Op(_fwd_resample_cubic_axis, _vjp_resample_cubic_axis, _check_resample_cubic_axis),
@@ -805,8 +787,20 @@ def _int_index(idx, op):
 
 
 def take_flat(x, idx, out_shape):
-    """Gather from the flattened input by integer index."""
-    return _apply("take_flat", (x,), idx=_int_index(idx, "take_flat"), out_shape=tuple(out_shape))
+    """Gather from the flattened input by integer index into out_shape.
+
+    A composite of two ops, so a tape holds two records: reshape to
+    (x.size,), then take_axis along axis 0 with idx reshaped to
+    out_shape.  Forward, gradient and float64 replay give the bytes of
+    x.reshape(-1)[idx].reshape(out_shape) and its scatter-add.  The
+    indices are checked before either op runs.
+    """
+    n = np.size(x.data if isinstance(x, Tensor) else x)
+    idx = _int_index(idx, "take_flat")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError("take_flat: index out of range")
+    idx = idx.reshape(out_shape)
+    return take_axis(reshape(x, (n,)), idx, 0)
 
 
 def index_arg(value, what):

@@ -104,7 +104,7 @@ class PromptGroup:
                 f"PromptGroup keyframes disagree: "
                 f"{self.keyframe_a.U.shape}x{self.keyframe_a.V.shape} vs "
                 f"{self.keyframe_b.U.shape}x{self.keyframe_b.V.shape}")
-        if self.group_len < 2:
+        if nm.index_arg(self.group_len, "group_len") < 2:
             raise ValueError(f"group_len must be >= 2, got {self.group_len}")
         alphas = uniform_alphas(self.group_len) if self.alphas is None else tuple(float(a) for a in self.alphas)
         object.__setattr__(self, "alphas", alphas)
@@ -112,11 +112,14 @@ class PromptGroup:
             raise ValueError(f"{len(self.alphas)} alphas for group_len {self.group_len}")
         if self.alphas[0] != 0.0 or self.alphas[-1] != 1.0:
             raise ValueError("alphas must start at 0 and end at 1 (shared keyframes)")
-        if any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
+        if not all(a < b for a, b in zip(self.alphas, self.alphas[1:])):  # a NaN fails too
             raise ValueError("alphas must be strictly increasing")
 
 
 def uniform_alphas(n):
+    """n alphas i/(n-1) from exactly 0 to exactly 1, each a float32 quotient; n must be >= 2."""
+    if n < 2:
+        raise ValueError(f"uniform_alphas needs n >= 2, got {n}")
     return tuple(float(np.float32(i) / np.float32(n - 1)) for i in range(n))
 
 
@@ -149,11 +152,12 @@ def quantize(m, q=DEFAULT_Q) -> QuantizedMatrix:
     """Round-to-nearest-even uniform quantizer, scale = 2*max|m|/(2^q - 1).
 
     Every entry of the float32-cast matrix lies within scale/2 of its
-    dequantized level. q must lie in [1, MAX_Q], and the float32 scale must
-    be finite and positive: a ValueError names a matrix whose max|m| makes
-    it round to 0 or overflow.
+    dequantized level. q must be an integer (TypeError for a bool or a
+    float) in [1, MAX_Q], and the float32 scale must be finite and
+    positive: a ValueError names a matrix whose max|m| makes it round to 0
+    or overflow.
     """
-    _check_q(q)
+    q = _check_q(q)
     m = np.asarray(m, dtype=np.float32)
     if not np.isfinite(m).all():
         raise ValueError("quantize: matrix contains non-finite values")
@@ -193,8 +197,11 @@ def dequantize(qm: QuantizedMatrix):
 
 
 def _check_q(q):
+    """q as an int: TypeError for a bool or a non-integer, ValueError outside [1, MAX_Q]."""
+    q = nm.index_arg(q, "q")
     if not 1 <= q <= MAX_Q:
         raise ValueError(f"q must lie in [1, {MAX_Q}], got {q}")
+    return q
 
 
 def bitrate_estimate(d, rank, q, keyframes_per_second):
@@ -202,11 +209,13 @@ def bitrate_estimate(d, rank, q, keyframes_per_second):
 
     Container overhead is excluded. Exact when the keyframe rate is an int
     or Fraction. q must lie in [1, MAX_Q] and rank in [0, min(77, d)], the
-    widths and ranks the codec itself accepts.
+    widths and ranks the codec itself accepts.  d, rank and q must be
+    integers (TypeError for a bool or a float).
     """
+    d, rank = nm.index_arg(d, "d"), nm.index_arg(rank, "rank")
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    _check_q(q)
+    q = _check_q(q)
     if not 0 <= rank <= min(TOKENS, d):
         raise ValueError(f"rank must lie in [0, min(77, d={d})], got {rank}")
     bits_per_keyframe = (TOKENS + d) * rank * q

@@ -134,7 +134,7 @@ def resample_input(shape, seed, specials):
 class TestStrictKernel:
     def test_c_kernel_is_active(self):
         # gcc is part of the supported build; a silent fallback must not pass.
-        assert nm.STRICT_MATMUL == "c"
+        assert nm._dll is not None
 
     def test_flags_keep_the_summation_order(self):
         assert "-ffp-contract=off" in nm.STRICT_MM_FLAGS
@@ -284,7 +284,6 @@ class TestStrictKernel:
         maps = [resample_input(shape, 20261101, [np.inf, -np.inf, np.nan, -np.nan]) for shape, _ in RENDER_RESAMPLES]
         kernel = nm.matmul(a, b).data, nm.conv2d(x, w).data
         resampled = [nm.resample_cubic_axis(y, 8, ax).data for y, (_, ax) in zip(maps, RENDER_RESAMPLES)]
-        monkeypatch.setattr(nm, "STRICT_MATMUL", "numpy")
         monkeypatch.setattr(nm, "_dll", None)  # the loop must not reach the kernel
         assert nm.matmul(a, b).data.tobytes() == kernel[0].tobytes()
         assert nm.conv2d(x, w).data.tobytes() == kernel[1].tobytes()
@@ -306,7 +305,7 @@ class TestStrictKernel:
         # +-3e38 samples that can pass the float32 range.
         maps = [resample_input(shape, 20261102, [np.inf, -np.inf, np.nan, 3e38, -3e38]) for shape, _ in RENDER_RESAMPLES]
         resampled = [nm.resample_cubic_axis(y, 8, ax).data for y, (_, ax) in zip(maps, RENDER_RESAMPLES)]
-        monkeypatch.setattr(nm, "STRICT_MATMUL", "numpy")
+        monkeypatch.setattr(nm, "_dll", None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert nm.matmul(a, b).data.tobytes() == kernel.tobytes()
@@ -439,7 +438,7 @@ def assert_resample_same_bytes(x, factor, axis):
         warnings.simplefilter("error")
         got = nm.resample_cubic_axis(x, factor, axis).data
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nm, "STRICT_MATMUL", "numpy")
+            mp.setattr(nm, "_dll", None)
             want = nm.resample_cubic_axis(x, factor, axis).data
     assert got.dtype == np.float32 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -512,7 +511,7 @@ class TestKernelThreads:
             "from promptstream import numerics as nm\n"
             "d = sys.argv[1]\n"
             "a, b, x, w = (np.load(f'{d}/{n}.npy') for n in 'abxw')\n"
-            "assert len(os.sched_getaffinity(0)) == 1 and nm.STRICT_MATMUL == 'c'\n"
+            "assert len(os.sched_getaffinity(0)) == 1 and nm._dll is not None\n"
             "np.save(f'{d}/mm.npy', nm.matmul(a, b).data)\n"
             "np.save(f'{d}/conv.npy', nm.conv2d(x, w).data)\n"
         )
@@ -1052,6 +1051,18 @@ class TestLerp:
             nm.lerp(randf(*shapes[0]), randf(*shapes[1]), 0.5)
 
 
+@st.composite
+def flat_gathers(draw):
+    """x of 1 to 3 axes, r*c indices (repeats likely, none at all possible), a 1-D or (r, c) out_shape, and weights."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 3))))
+    r, c = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    flat = st.integers(0, int(np.prod(shape)) - 1)
+    idx = np.array(draw(st.lists(flat, min_size=r * c, max_size=r * c)), dtype=np.intp)
+    out_shape = (r, c) if draw(st.booleans()) else (r * c,)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return randf(*shape, rng=rng), idx, out_shape, randf(*out_shape, rng=rng)
+
+
 class TestGather:
     @pytest.mark.parametrize("idx", [[-1], [0, -3], [3]])
     def test_take_axis_rejects_index_out_of_range(self, idx):
@@ -1097,6 +1108,23 @@ class TestGather:
             idx = np.array([3, 1], dtype=dtype)
             assert nm.take_flat(x, idx, (2,)).data.tolist() == [3.0, 1.0]
             assert np.array_equal(nm.take_axis(x, idx, 0).data, x[[3, 1]])
+
+    @given(flat_gathers())
+    @settings(max_examples=60, deadline=None)
+    def test_take_flat_matches_numpy(self, case):
+        # Forward, gradient (repeated indices scatter-add) and float64 replay, byte for byte.
+        x, idx, out_shape, w = case
+        tape = GradTape()
+        leaf = tape.leaf(x)
+        y = nm.take_flat(leaf, idx, out_shape)
+        assert y.data.tobytes() == x.reshape(-1)[idx].reshape(out_shape).tobytes()
+        (g,) = nm.grad(nm.sum_all(nm.mul(y, w)), [leaf])
+        want = np.zeros(x.size, np.float32)
+        np.add.at(want, idx, w.reshape(-1))
+        assert g.data.tobytes() == want.reshape(x.shape).tobytes()
+        got = tape.replay(dtype=np.float64)[y.node]
+        assert got.dtype == np.float64
+        assert got.tobytes() == x.astype(np.float64).reshape(-1)[idx].reshape(out_shape).tobytes()
 
 
 class TestArgumentChecks:

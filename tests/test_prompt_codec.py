@@ -72,6 +72,13 @@ class TestInterpolate:
             pc.PromptGroup(rand_prompt(), rand_prompt(), 4, alphas=(0.0, 0.7, 0.7, 1.0))
         with pytest.raises(ValueError, match="start at 0"):
             pc.PromptGroup(rand_prompt(), rand_prompt(), 3, alphas=(0.1, 0.5, 1.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            pc.PromptGroup(self.group.keyframe_a, self.group.keyframe_b, 3, alphas=(0.0, float("nan"), 1.0))
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_uniform_alphas_needs_two_frames(self, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            pc.uniform_alphas(n)
 
     def test_mismatched_keyframes(self):
         with pytest.raises(ShapeMismatchError):
@@ -272,3 +279,30 @@ class TestBitrate:
     def test_limits_are_accepted(self):
         assert pc.bitrate_estimate(1024, 77, pc.MAX_Q, 1) == (77 + 1024) * 77 * pc.MAX_Q
         assert pc.bitrate_estimate(16, 16, 1, 1) == (77 + 16) * 16
+
+
+class TestCodecIntegers:
+    """The codec's integer arguments go through nm.index_arg: a bool or a float is a TypeError naming it."""
+
+    M = np.array([[-1.0, 0.0, 1.0]], np.float32)
+    KF = pc.random_prompt(2, 8, np.random.default_rng(83))  # its own generator, not RNG
+
+    @pytest.mark.parametrize("name, call", [
+        ("q", lambda: pc.quantize(TestCodecIntegers.M, q=True)),
+        ("q", lambda: pc.quantize(TestCodecIntegers.M, q=12.0)),
+        ("q", lambda: pc.dequantize(pc.QuantizedMatrix(True, 1.0, np.zeros(3, np.uint32), (1, 3)))),
+        ("q", lambda: pc.bitrate_estimate(1024, 8, 12.5, 1)),
+        ("d", lambda: pc.bitrate_estimate(1024.5, 8, 12, 1)),
+        ("rank", lambda: pc.bitrate_estimate(1024, 8.5, 12, 1)),
+        ("rank", lambda: pc.bitrate_estimate(1024, True, 12, 1)),
+        ("group_len", lambda: pc.PromptGroup(TestCodecIntegers.KF, TestCodecIntegers.KF, 5.0)),
+        ("group_len", lambda: pc.PromptGroup(TestCodecIntegers.KF, TestCodecIntegers.KF, True)),
+    ], ids=["quantize-bool", "quantize-float", "dequantize-bool", "bitrate-q", "bitrate-d", "bitrate-rank",
+            "bitrate-rank-bool", "group_len-float", "group_len-bool"])
+    def test_non_integer_rejected(self, name, call):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert pc.bitrate_estimate(np.int64(1024), np.int32(8), np.uint8(12), 1) == 105696
+        assert pc.quantize(self.M, q=np.int64(4)).codes.tolist() == pc.quantize(self.M, q=4).codes.tolist()
