@@ -76,6 +76,13 @@
  * and the fit's 77x8 @ 8x1024 (0.6M) stay on one thread. */
 #define SPLIT_MIN_WORK (1L << 22)
 
+/* Store every NaN in d[0 .. len) as the quiet NaN 0x7fc00000. */
+static void one_nan(float *d, long len)
+{
+    for (long i = 0; i < len; i++)
+        d[i] = d[i] == d[i] ? d[i] : NAN;
+}
+
 /* c[:, j0:j0+nc] = a @ panel for the m rows of a (k columns, row-major). */
 static void tile_rows(const float *a, const float *panel, float *c, long m, long k, long n, long j0, long nc)
 {
@@ -101,8 +108,7 @@ static void tile_rows(const float *a, const float *panel, float *c, long m, long
                 nan |= acc[r][j] != acc[r][j];
         for (int r = 0; r < MR && i0 + r < m; r++) {
             if (nan)
-                for (int j = 0; j < NR; j++)
-                    acc[r][j] = acc[r][j] == acc[r][j] ? acc[r][j] : NAN;
+                one_nan(acc[r], nc);
             memcpy(c + (i0 + r) * n + j0, acc[r], sizeof(float) * nc);
         }
     }
@@ -281,13 +287,6 @@ int strict_conv3x3_f32(const float *x, const float *w, float *c, long ci, long h
     struct job j = {.fill = gather_panel, .a = w, .b = x, .c = c, .m = co, .k = ci * 9, .n = (h / s) * (wd / s),
                     .ci = ci, .h = h, .wd = wd, .s = s};
     return run_job(&j);
-}
-
-/* Store every NaN in d[0 .. len) as the quiet NaN 0x7fc00000. */
-static void one_nan(float *d, long len)
-{
-    for (long i = 0; i < len; i++)
-        d[i] = d[i] == d[i] ? d[i] : NAN;
 }
 
 /* One NaN test per row of out, not a select per entry: with restrict on

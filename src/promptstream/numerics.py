@@ -45,6 +45,9 @@ import operator
 import os
 import subprocess
 import tempfile
+import time
+from collections import namedtuple
+from contextlib import suppress
 from functools import lru_cache
 from math import isfinite, prod
 from pathlib import Path
@@ -87,7 +90,9 @@ def _load_strict_mm():
     """Compile (once per host and source) and load the C kernels' library; None if that fails.
 
     The library exports every entry point of STRICT_MM_ENTRIES, their
-    argument types set; if one is missing, none is loaded.
+    argument types set; if one is missing, none is loaded.  A load marks the
+    object used (its mtime); a build removes every other .so of the cache
+    unused for a day: older kernels and build leftovers.
     """
     try:
         src = STRICT_MM_SOURCE.read_bytes()
@@ -110,6 +115,12 @@ def _load_strict_mm():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            stale = time.time() - 86400
+            for old in cache.glob("*.so"):
+                with suppress(OSError):  # another process may remove it first
+                    if old.stat().st_mtime < stale:  # never the object just built
+                        old.unlink()
+        os.utime(lib)
         dll = ctypes.CDLL(str(lib))
         for name, (dtypes, n_sizes) in STRICT_MM_ENTRIES.items():
             fn = getattr(dll, name)
@@ -328,17 +339,18 @@ def _fwd_resample_cubic_axis(a, p):
     ax = p["axis"] % x.ndim
     idx, w = _catmull_rom_taps(x.shape[ax], p["factor"])
     nj = idx.shape[1]
-    out = _strict_kernel("resample4_f32", (x, idx, w), x.shape[:ax] + (nj,) + x.shape[ax + 1:],
-                         prod(x.shape[:ax]), x.shape[ax], prod(x.shape[ax + 1:]), nj)
+    outer, n, inner = prod(x.shape[:ax]), x.shape[ax], prod(x.shape[ax + 1:])
+    out_shape = x.shape[:ax] + (nj,) + x.shape[ax + 1:]
+    out = _strict_kernel("resample4_f32", (x, idx, w), out_shape, outer, n, inner, nj)
     if out is not None:
         return out
-    # The numpy form, for float64 replay and where the kernel is missing.
-    # With the axis leading, each tap gathers whole contiguous rows.
-    x = np.ascontiguousarray(np.moveaxis(x, ax, 0))
-    w = w.astype(x.dtype, copy=False).reshape(w.shape + (1,) * (x.ndim - 1))
+    # The numpy form, for float64 replay and where the kernel is missing: the
+    # kernel's layout, each tap gathering along the middle axis of (outer, n, inner).
+    x = x.reshape(outer, n, inner)
+    w = w.astype(x.dtype, copy=False)[:, :, np.newaxis]
 
     def tap(k):
-        t = np.take(x, idx[k], axis=0)
+        t = np.take(x, idx[k], axis=1)
         t *= w[k]
         return t
 
@@ -351,7 +363,7 @@ def _fwd_resample_cubic_axis(a, p):
         hi += tap(3)
         out += hi
     np.copyto(out, np.nan, where=np.isnan(out))  # one NaN, as in the kernel
-    return np.ascontiguousarray(np.moveaxis(out, 0, ax))
+    return out.reshape(out_shape)
 
 
 def _fwd_mean_axes(a, p):
@@ -652,14 +664,7 @@ class Tensor:
         return _apply("neg", (self,))
 
 
-class _Record:
-    __slots__ = ("op", "inputs", "params", "out")
-
-    def __init__(self, op, inputs, params, out):
-        self.op = op
-        self.inputs = inputs
-        self.params = params
-        self.out = out
+_Record = namedtuple("_Record", "op inputs params out")
 
 
 class GradTape:
@@ -881,6 +886,16 @@ def resample_cubic_axis(x, factor, axis):
     return _apply("resample_cubic_axis", (x,), factor=factor, axis=index_arg(axis, "resample_cubic_axis: axis"))
 
 
+def _per_axis(x, factor, axes, resample):
+    """Check factor, then x = resample(x, ax) for each axis in order; factor 1 returns x itself."""
+    _check_upsample_factor(factor)
+    if factor == 1:
+        return x
+    for ax in axes:
+        x = resample(x, ax)
+    return x
+
+
 def upsample_cubic(x, factor, axes=(0, 1)):
     """Separable Catmull-Rom (a=-0.5) upsampling by an integer factor.
 
@@ -894,24 +909,12 @@ def upsample_cubic(x, factor, axes=(0, 1)):
     ((dx3 + dx2) + dx1) + dx0. factor 1 returns the input itself; a
     factor that is not an integer >= 1 raises ValueError.
     """
-    _check_upsample_factor(factor)
-    if factor == 1:
-        return x
-    for ax in axes:
-        x = resample_cubic_axis(x, factor, ax)
-    return x
+    return _per_axis(x, factor, axes, lambda y, ax: resample_cubic_axis(y, factor, ax))
 
 
 def upsample_nearest(x, factor, axes=(0, 1)):
     """Nearest-neighbor upsampling by an integer factor (ValueError otherwise)."""
-    _check_upsample_factor(factor)
-    if factor == 1:
-        return x
-    out = x
-    for ax in axes:
-        n = out.shape[ax]
-        out = take_axis(out, np.repeat(np.arange(n), factor), ax)
-    return out
+    return _per_axis(x, factor, axes, lambda y, ax: take_axis(y, np.repeat(np.arange(y.shape[ax]), factor), ax))
 
 
 def grad(loss, leaves):
@@ -922,7 +925,8 @@ def grad(loss, leaves):
     pass over the records marks those nodes live, and every vjp is told
     which of its inputs are.  Each returned gradient is a fresh, writable,
     C-contiguous float32 array that the caller owns: it shares memory with
-    no other returned gradient and no tape value.
+    no other returned gradient and no tape value.  A leaf must be one of
+    GradTape.inputs; any other node raises UnknownLeafError.
     """
     if not isinstance(loss, Tensor) or loss.tape is None:
         raise UnknownLeafError("loss is not attached to a tape")
@@ -930,7 +934,7 @@ def grad(loss, leaves):
         raise ValueError(f"loss must be scalar, has shape {loss.data.shape}")
     tape = loss.tape
     for lf in leaves:
-        if not isinstance(lf, Tensor) or lf.tape is not tape or lf.node is None:
+        if not isinstance(lf, Tensor) or lf.tape is not tape or lf.node not in tape.inputs:
             raise UnknownLeafError("leaf is not registered on this tape")
     live = {lf.node for lf in leaves}
     for rec in tape.records:

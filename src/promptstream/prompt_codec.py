@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import inf
 
 import numpy as np
 
@@ -210,7 +211,8 @@ def bitrate_estimate(d, rank, q, keyframes_per_second):
     Container overhead is excluded. Exact when the keyframe rate is an int
     or Fraction. q must lie in [1, MAX_Q] and rank in [0, min(77, d)], the
     widths and ranks the codec itself accepts.  d, rank and q must be
-    integers (TypeError for a bool or a float).
+    integers (TypeError for a bool or a float), and the keyframe rate
+    finite and >= 0 (ValueError).
     """
     d, rank = nm.index_arg(d, "d"), nm.index_arg(rank, "rank")
     if d <= 0:
@@ -218,6 +220,8 @@ def bitrate_estimate(d, rank, q, keyframes_per_second):
     q = _check_q(q)
     if not 0 <= rank <= min(TOKENS, d):
         raise ValueError(f"rank must lie in [0, min(77, d={d})], got {rank}")
+    if not 0 <= keyframes_per_second < inf:  # a NaN fails too
+        raise ValueError(f"keyframes_per_second must be finite and >= 0, got {keyframes_per_second!r}")
     bits_per_keyframe = (TOKENS + d) * rank * q
     rate = bits_per_keyframe * keyframes_per_second
     if isinstance(rate, Fraction) and rate.denominator == 1:

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -350,6 +351,36 @@ class TestStrictKernel:
         assert lib.strict_conv3x3_f32(x.ctypes.data, w.ctypes.data, out.ctypes.data, 3, 6, 10, 5, 2) == 0
         assert out.tobytes() == conv_reference(x, w, 2).tobytes()
 
+    @pytest.mark.parametrize("mode", [0o770, 0o707])
+    def test_a_shared_cache_directory_loads_no_kernel(self, monkeypatch, tmp_path, mode):
+        monkeypatch.setattr(nm.tempfile, "tempdir", str(tmp_path))
+        cache = tmp_path / f"promptstream-{os.getuid()}"
+        cache.mkdir()
+        cache.chmod(mode)  # group- or other-writable: someone else could plant the object
+        assert nm._load_strict_mm() is None
+        assert not any(cache.iterdir())
+
+    def test_a_build_drops_stale_objects_and_keeps_recent_ones(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(nm.tempfile, "tempdir", str(tmp_path))
+        cache = tmp_path / f"promptstream-{os.getuid()}"
+        cache.mkdir(mode=0o700)
+        old = time.time() - 2 * 86400  # two days: the cache keeps what was used within one
+        stale, leftover, recent = (cache / n for n in ("strict_mm-0000000000000000.so", "tmpk2x8.so",
+                                                      "strict_mm-1111111111111111.so"))
+        for f in (stale, leftover, recent):
+            f.write_bytes(b"")
+        for f in (stale, leftover):
+            os.utime(f, (old, old))
+        assert nm._load_strict_mm() is not None
+        (lib,) = set(cache.iterdir()) - {recent}
+        assert lib.name.startswith("strict_mm-") and lib not in (stale, recent)
+        # Loading a cached object builds nothing and marks it as used.
+        os.utime(lib, (old, old))
+        monkeypatch.setattr(nm.subprocess, "run", None)
+        assert nm._load_strict_mm() is not None
+        assert lib.stat().st_mtime > old + 86400
+        assert set(cache.iterdir()) == {lib, recent}
+
 
 def _split_min_work():
     """SPLIT_MIN_WORK from _strict_mm.c: the multiply-adds from which a product runs on several threads."""
@@ -603,6 +634,48 @@ class TestGrad:
         t1, t2 = GradTape(), GradTape()
         with pytest.raises(ValueError, match="different tapes"):
             nm.add(t1.leaf(randf(3,)), t2.leaf(randf(3,)))
+
+    def test_a_produced_node_is_not_a_leaf(self):
+        # Its cotangent is spent before the leaves are handed out, so it would read as 0.
+        tape = GradTape()
+        x = tape.leaf(randf(3, rng=np.random.default_rng(90)))
+        y = nm.mul(x, x)
+        loss = nm.sum_all(nm.mul(y, np.float32(2.0)))
+        for node in (y, loss):
+            with pytest.raises(UnknownLeafError):
+                nm.grad(loss, [node])
+        (g,) = nm.grad(loss, [x])
+        assert np.array_equal(g.data, 4 * x.data)
+
+    def test_loss_must_be_a_tracked_scalar(self):
+        rng = np.random.default_rng(91)
+        with pytest.raises(UnknownLeafError, match="not attached"):
+            nm.grad(nm.sum_all(randf(3, rng=rng)), [])
+        tape = GradTape()
+        x = tape.leaf(randf(3, rng=rng))
+        with pytest.raises(ValueError, match="scalar"):
+            nm.grad(nm.mul(x, x), [x])
+
+    def test_a_leaf_the_loss_does_not_reach_gets_fresh_zeros(self):
+        rng = np.random.default_rng(92)
+        tape = GradTape()
+        x, w = tape.leaf(randf(3, rng=rng)), tape.leaf(randf(2, 2, rng=rng))
+        nm.mul(w, np.float32(2.0))  # recorded, but not on the loss's path
+        loss = nm.sum_all(nm.mul(x, x))
+        for leaves in ([w], [x, w]):
+            g = nm.grad(loss, leaves)[-1].data
+            assert np.array_equal(g, np.zeros((2, 2), np.float32)) and not np.signbit(g).any()
+            assert g.flags.writeable and g.flags.c_contiguous and g.base is None
+        assert not any(np.shares_memory(g, v) for v in tape.values)
+
+    def test_broadcast_over_leading_axes_sums_them(self):
+        rng = np.random.default_rng(93)
+        tape = GradTape()
+        a, b = tape.leaf(randf(4, rng=rng)), tape.leaf(randf(3, 4, rng=rng))
+        r = randf(3, 4, rng=rng)
+        ga, gb = nm.grad(nm.sum_all(nm.mul(nm.add(a, b), r)), [a, b])
+        assert ga.data.tobytes() == r.sum(axis=0).tobytes()
+        assert gb.data.tobytes() == r.tobytes()
 
 
 def loss_through(op, *leaf_arrays, builder=None, rng=RNG):
@@ -1128,6 +1201,26 @@ class TestGather:
 
 
 class TestArgumentChecks:
+    @pytest.mark.parametrize("op", [nm.add, nm.sub, nm.mul], ids=["add", "sub", "mul"])
+    def test_elementwise_rejects_shapes_that_do_not_broadcast(self, op):
+        rng = np.random.default_rng(94)
+        with pytest.raises(ShapeMismatchError, match=f"^{op.__name__}: incompatible shapes"):
+            op(randf(3, 4, rng=rng), randf(3, rng=rng))
+
+    @pytest.mark.parametrize("shape", [(2, 5, 4), (2, 4, 5)])
+    def test_conv2d_at_stride_two_rejects_an_odd_side(self, shape):
+        rng = np.random.default_rng(95)
+        with pytest.raises(ShapeMismatchError, match=r"conv2d\(stride\)"):
+            nm.conv2d(randf(*shape, rng=rng), randf(3, 2, 3, 3, rng=rng), stride=2)
+
+    def test_reshape_rejects_another_size(self):
+        with pytest.raises(ShapeMismatchError, match="reshape"):
+            nm.reshape(randf(3, 4, rng=np.random.default_rng(96)), (5, 2))
+
+    def test_transpose2d_rejects_three_axes(self):
+        with pytest.raises(ShapeMismatchError, match="transpose2d"):
+            nm.transpose2d(randf(2, 3, 4, rng=np.random.default_rng(97)))
+
     @pytest.mark.parametrize("stride", [True, 1.0, 2.0, 0, 3])
     def test_conv2d_rejects_bad_stride(self, stride):
         rng = np.random.default_rng(79)

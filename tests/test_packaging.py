@@ -1,6 +1,7 @@
-"""Packaging metadata: every module and data file pyproject.toml names exists."""
+"""Packaging metadata: every module and data file pyproject.toml names exists, and every test extra is used."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,15 @@ def test_names_the_benchmark_wraps_exist():
     if "__neg__" not in vars(nm.Tensor):
         missing.append("numerics.Tensor.__neg__")
     assert not missing, f"perfbench/tracing.py wraps {missing}, which do not exist"
+
+
+def test_every_test_extra_is_imported():
+    """Each requirement of the test extra is imported by some file under tests/ or perfbench/."""
+    extra = tomllib.loads(PYPROJECT.read_text())["project"]["optional-dependencies"]["test"]
+    sources = "\n".join(f.read_text() for d in ("tests", "perfbench") for f in (PYPROJECT.parent / d).rglob("*.py"))
+    unused = []
+    for req in extra:
+        module = re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        if not re.search(rf"^\s*(import|from)\s+{re.escape(module)}\b", sources, re.MULTILINE):
+            unused.append(req)
+    assert not unused, f"pyproject.toml's test extra names {unused}, which nothing under tests/ or perfbench/ imports"

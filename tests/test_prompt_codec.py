@@ -42,6 +42,12 @@ class TestCompose:
         with pytest.raises(ValueError, match="rank"):
             pc.LowRankPrompt(np.zeros((77, 20), np.float32), np.zeros((20, 8), np.float32))
 
+    @pytest.mark.parametrize("u_shape, v_shape", [((76, 2), (2, 8)), ((77, 2), (3, 8)), ((77,), (1, 8)),
+                                                  ((77, 2), (2, 8, 1))])
+    def test_factor_shapes_enforced(self, u_shape, v_shape):
+        with pytest.raises(ShapeMismatchError, match="LowRankPrompt"):
+            pc.LowRankPrompt(np.zeros(u_shape, np.float32), np.zeros(v_shape, np.float32))
+
 
 class TestInterpolate:
     def setup_method(self):
@@ -83,6 +89,18 @@ class TestInterpolate:
     def test_mismatched_keyframes(self):
         with pytest.raises(ShapeMismatchError):
             pc.PromptGroup(rand_prompt(rank=4), rand_prompt(rank=8), 5)
+
+    @pytest.mark.parametrize("group_len", [1, 0, -3])
+    def test_group_len_below_two_rejected(self, group_len):
+        kf = pc.random_prompt(2, 8, np.random.default_rng(84))  # its own generator, not RNG
+        with pytest.raises(ValueError, match="group_len must be >= 2"):
+            pc.PromptGroup(kf, kf, group_len)
+
+    @pytest.mark.parametrize("alphas", [(0.0, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0)])
+    def test_alpha_count_must_equal_group_len(self, alphas):
+        kf = pc.random_prompt(2, 8, np.random.default_rng(85))
+        with pytest.raises(ValueError, match=f"{len(alphas)} alphas for group_len 3"):
+            pc.PromptGroup(kf, kf, 3, alphas=alphas)
 
 
 class TestFrameIndex:
@@ -230,6 +248,13 @@ class TestQuantizer:
         with pytest.raises(ValueError, match="codes outside"):
             pc.dequantize(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_quantize_rejects_non_finite_entries(self, bad):
+        m = np.random.default_rng(86).uniform(-1, 1, (3, 4)).astype(np.float32)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pc.quantize(m)
+
     def test_dequantize_rejects_width_out_of_range(self):
         qm = pc.QuantizedMatrix(pc.MAX_Q + 1, 1.0, np.zeros(3, np.uint32), (1, 3))
         with pytest.raises(ValueError, match="q must lie"):
@@ -275,6 +300,21 @@ class TestBitrate:
     def test_rejects_rank_out_of_range(self, d, rank):
         with pytest.raises(ValueError, match="rank"):
             pc.bitrate_estimate(d, rank, 12, 1)
+
+    @pytest.mark.parametrize("d", [0, -64])
+    def test_rejects_width_not_positive(self, d):
+        with pytest.raises(ValueError, match="d must be positive"):
+            pc.bitrate_estimate(d, 0, 12, 1)
+
+    @pytest.mark.parametrize("rate", [-1, -0.5, Fraction(-1, 2), float("nan"), float("inf"), -float("inf")],
+                             ids=["-1", "-0.5", "-1/2", "nan", "inf", "-inf"])
+    def test_rejects_keyframe_rate_negative_or_not_finite(self, rate):
+        with pytest.raises(ValueError, match="keyframes_per_second must be finite and >= 0"):
+            pc.bitrate_estimate(1024, 8, 12, rate)
+
+    def test_zero_keyframe_rate_is_zero_bits(self):
+        assert pc.bitrate_estimate(1024, 8, 12, 0) == 0
+        assert pc.bitrate_estimate(1024, 8, 12, Fraction(0)) == 0
 
     def test_limits_are_accepted(self):
         assert pc.bitrate_estimate(1024, 77, pc.MAX_Q, 1) == (77 + 1024) * 77 * pc.MAX_Q
