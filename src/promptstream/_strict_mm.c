@@ -20,6 +20,16 @@
  * -ffp-contract=off (no fused multiply-add) and never with -ffast-math or
  * any flag that lets the compiler reassociate the sum.
  *
+ * The source fixes the tile's vector width.  gcc's tuning for the Xeons
+ * with AVX-512 (-march=native on Skylake-SP through Sapphire Rapids)
+ * prefers 256-bit vectors, so a 4 x 32 tile would be 16 ymm accumulators on
+ * a host whose registers are twice as wide.  With the pragma below it is 8
+ * zmm accumulators wherever the host has AVX-512, and the render's products
+ * run 1.3-1.4x faster on a 2-vCPU Sapphire Rapids (BENCH_12.json); a host
+ * without AVX-512 compiles what it did before.  The width changes no bytes:
+ * each lane still rounds one float32 multiply and then one add, in the same
+ * k order.
+ *
  * Every NaN in c is stored as the quiet NaN 0x7fc00000.  Where two NaNs
  * meet in a multiply or an add, the one passed on is that of the operand
  * the compiler happens to put first (AVX-512 puts a broadcast operand
@@ -53,7 +63,9 @@
  * with no copy of x and no array per tap, and runs on the caller's thread:
  * the render's x8 upsample is 3.1M multiply-adds an axis, below
  * SPLIT_MIN_WORK.  It allocates nothing and returns 0.  As in the
- * products, every NaN in out is stored as 0x7fc00000.
+ * products, every NaN in out is stored as 0x7fc00000.  The 512-bit
+ * preference reaches it too: the render's last-axis pass (3x512x64 to
+ * 3x512x512) takes 0.85-0.92 ms against 1.01-1.04 ms at 256 bits.
  */
 #define _GNU_SOURCE
 #include <math.h>
@@ -62,18 +74,24 @@
 #include <stdlib.h>
 #include <string.h>
 
+#if defined(__x86_64__)
+#pragma GCC target("prefer-vector-width=512")
+#endif
+
 #define MR 4
 #define NR 32
 /* Rows in one task: a multiple of MR. */
 #define MC (16 * MR)
 /* Multiply-adds below which a product stays on the caller's thread.  On a
  * 2-vCPU Xeon (AVX-512, gcc 12.2), making an empty pthread and joining it
- * takes 31-42 us.  Two threads against one, medians of 20 calls in three
- * runs: 0.47-0.49x at 64^3 (0.26M), 0.81-0.84x at 77x32 @ 32x1024 (2.5M),
- * 0.81-1.11x at 128^3 (2.1M), 0.97-1.12x at 77x48 @ 48x1024 (3.8M) and
- * 1.18-1.27x at 160^3 (4.1M); the render block's products (25M and up)
- * 1.3-1.9x.  The decode path's rank-16 compose (77x16 @ 16x1024, 1.3M)
- * and the fit's 77x8 @ 8x1024 (0.6M) stay on one thread. */
+ * takes 31-42 us.  Two threads against one with the 512-bit tile, medians
+ * of 40 calls in three runs: 0.70-0.75x at 64^3 (0.26M), 0.85-0.94x at
+ * 77x32 @ 32x1024 (2.5M), 0.92-1.10x at 128^3 (2.1M), 0.95-1.35x at
+ * 77x48 @ 48x1024 (3.8M) and 1.26-1.47x at 160^3 (4.1M); the render
+ * block's products (25M and up) 1.4-2.1x, bar one reading of 0.97x.  The
+ * 256-bit tile crossed over at the same sizes.  The decode path's rank-16
+ * compose (77x16 @ 16x1024, 1.3M; 0.74-0.91x) and the fit's 77x8 @ 8x1024
+ * (0.6M; 0.72-0.74x) stay on one thread. */
 #define SPLIT_MIN_WORK (1L << 22)
 
 /* Store every NaN in d[0 .. len) as the quiet NaN 0x7fc00000. */

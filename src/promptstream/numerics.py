@@ -27,7 +27,10 @@ never with -ffast-math, -Ofast, -funsafe-math-optimizations or
 -fassociative-math: those reorder the sum, and a library linked with
 them can switch on flush-to-zero for the whole process.  -march=native
 ties the object to the host, so it is cached per user under
-tempfile.gettempdir(), keyed by a hash of the source and the flags.
+tempfile.gettempdir(), keyed by a hash of the source and the flags.  The
+source, not the flags, fixes the vector width: gcc's tuning for the Xeons
+with AVX-512 prefers 256-bit vectors, and a pragma in _strict_mm.c asks
+for 512, which only changes how many lanes run at once, not the bytes.
 
 _strict_mm.c's header states how a product runs as tasks on the CPUs of
 the calling thread's affinity mask with the same bytes for any number of
@@ -75,6 +78,8 @@ def _shape_error(op, *shapes):
 # ---------------------------------------------------------------------------
 
 STRICT_MM_SOURCE = Path(__file__).with_name("_strict_mm.c")
+# No flag sets the vector width: under -march=native, gcc's tuning for the
+# Xeons with AVX-512 prefers 256 bits, so _strict_mm.c asks for 512 itself.
 STRICT_MM_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 # The library's entry points: name -> (operand dtypes, size arguments).  Each
 # takes a pointer to each operand, then one to its float32 output, then the
@@ -121,13 +126,18 @@ def _load_strict_mm():
                     if old.stat().st_mtime < stale:  # never the object just built
                         old.unlink()
         os.utime(lib)
-        dll = ctypes.CDLL(str(lib))
-        for name, (dtypes, n_sizes) in STRICT_MM_ENTRIES.items():
-            fn = getattr(dll, name)
-            fn.argtypes = [ctypes.c_void_p] * (len(dtypes) + 1) + [ctypes.c_long] * n_sizes
-            fn.restype = ctypes.c_int
+        return _bind(lib)
     except (OSError, AttributeError, subprocess.CalledProcessError):
         return None
+
+
+def _bind(lib):
+    """Load the library at path lib with every entry point's argument types set; AttributeError if one is missing."""
+    dll = ctypes.CDLL(str(lib))
+    for name, (dtypes, n_sizes) in STRICT_MM_ENTRIES.items():
+        fn = getattr(dll, name)
+        fn.argtypes = [ctypes.c_void_p] * (len(dtypes) + 1) + [ctypes.c_long] * n_sizes
+        fn.restype = ctypes.c_int
     return dll
 
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -132,6 +133,13 @@ def resample_input(shape, seed, specials):
     return x
 
 
+def _isa_macros(march):
+    """The instruction-set macros (__AVX2__, __FMA__, ...) that gcc defines for march."""
+    out = subprocess.run(["gcc", march, "-dM", "-E", "-x", "c", os.devnull], capture_output=True, text=True,
+                         check=True).stdout
+    return set(re.findall(r"#define (__[A-Z][A-Z0-9_]*__) ", out))
+
+
 class TestStrictKernel:
     def test_c_kernel_is_active(self):
         # gcc is part of the supported build; a silent fallback must not pass.
@@ -151,6 +159,43 @@ class TestStrictKernel:
         done = subprocess.run(["gcc", *flags, "-o", str(tmp_path / "k.so"), str(nm.STRICT_MM_SOURCE)],
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(shutil.which("gcc") is None or platform.machine() != "x86_64",
+                        reason="needs gcc on an x86-64 host")
+    def test_vector_width_keeps_the_bytes(self, tmp_path, monkeypatch):
+        # The source asks for 512-bit vectors; an AVX2 build (x86-64-v3) has
+        # none, so the two must agree on every lane count around 16 floats.
+        flags = [f if f != "-march=native" else "-march=x86-64-v3" for f in nm.STRICT_MM_FLAGS]
+        if not _isa_macros("-march=x86-64-v3") <= _isa_macros("-march=native"):
+            pytest.skip("the host cannot run x86-64-v3 code")
+        done = subprocess.run(["gcc", *flags, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "v3.so"),
+                               str(nm.STRICT_MM_SOURCE)], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        v3 = nm._bind(tmp_path / "v3.so")
+        rng = np.random.default_rng(20261019)
+
+        def entries(*shape):
+            x = rng.uniform(-2.0, 2.0, shape).astype(np.float32)
+            mask = rng.random(shape) < 0.02  # most sums stay finite
+            x[mask] = rng.choice(KERNEL_SPECIALS, int(mask.sum()))
+            return x
+
+        tiny = np.float32(1e-20)  # products in the subnormal range
+        for n in (1, 15, 16, 17, 31, 33, 77):
+            cases = [
+                (nm.matmul, entries(5, 19), entries(19, n)),
+                (nm.matmul, entries(6, 40) * tiny, entries(40, n) * tiny),
+                (nm.conv2d, entries(3, 3, n), entries(5, 3, 3, 3), 1),
+                (nm.conv2d, entries(2, 4, 2 * n), entries(3, 2, 3, 3), 2),
+                (nm.resample_cubic_axis, entries(3, n), 3, 1),  # the last axis: n samples
+                (nm.resample_cubic_axis, entries(4, 2, n), 2, 1),  # rows of n
+            ]
+            for op, *args in cases:
+                want = op(*args).data
+                with monkeypatch.context() as mp:
+                    mp.setattr(nm, "_dll", v3)
+                    got = op(*args).data
+                assert got.tobytes() == want.tobytes(), (op.__name__, n)
 
     @pytest.mark.parametrize("m, k, n", KERNEL_SHAPES)
     def test_bytes_equal_numpy_loop(self, m, k, n):
