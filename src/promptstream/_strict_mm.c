@@ -1,4 +1,5 @@
-/* Strict-order float32 products and cubic resampling, all row-major.
+/* Strict-order float32 products, cubic resampling and the elementwise
+ * passes of silu, group_norm and softmax_last, all row-major.
  *
  * strict_mm_f32: c = a @ b.  Each c[i,j] starts at +0.0f and adds the
  * float32 product a[i,kk]*b[kk,j] for kk = 0, 1, ..., k-1, rounding after
@@ -66,6 +67,43 @@
  * products, every NaN in out is stored as 0x7fc00000.  The 512-bit
  * preference reaches it too: the render's last-axis pass (3x512x64 to
  * 3x512x512) takes 0.85-0.92 ms against 1.01-1.04 ms at 256 bits.
+ *
+ * The elementwise passes.  silu, group_norm and softmax_last keep numpy's
+ * exp and its pairwise sums, whose bytes come from numpy's own SIMD loops.
+ * Every other step is one exactly rounded operation (min, max, compare and
+ * select, sub, mul, div, add), so a pass runs several of them per entry, in
+ * the numpy forms' order, with the same bytes, in one pass over memory:
+ *   silu          neg_abs_f32:  e = minimum(x, -x); then numpy's exp(e);
+ *                 silu_f32:     e = x * (maximum(e, [x >= 0]) / (e + 1)).
+ *   group_norm    numpy's mu, the mean of each group's row;
+ *                 group_sq_dev_f32: out = (x - mu)^2; then numpy's mean of
+ *                 each row and r = 1/sqrt(var + eps);
+ *                 group_norm_f32: out = ((x - mu) * r) * gamma[c] + beta[c].
+ *   softmax_last  sub_rowmax_f32: out = x - max(row); then numpy's exp and
+ *                 row sums;
+ *                 div_rows_f32: out /= sum(row), a true division.
+ * Each writes out (or e) in place, so an op allocates its output alone,
+ * and runs on the caller's thread: a 1 MiB pass takes about 0.07 ms, and
+ * a pthread 31-42 us to make.  Like the products, the passes raise no
+ * floating-point warning, and the three ops run their numpy steps under
+ * np.errstate(invalid="ignore", over="ignore"), so an op warns about
+ * neither inf - inf, -inf * 0 nor overflow, with or without the library.
+ *
+ * NaN.  numpy passes on one of two NaNs by where the pair sits in its
+ * vectors, not by operand: in a float32 product of 17 to 31 entries (numpy
+ * 2.4, AVX-512), the first 16 give a's NaN and the others b's, and a row's
+ * max is not always the row's first NaN.  So a pass whose operands hold a
+ * NaN (x, mu, gamma or beta) declines, and the op runs its numpy form.
+ * Without a NaN operand, the NaNs the steps make are the host's default NaN
+ * (inf - inf, 0 * inf), the same in C and numpy, and numpy exp's
+ * 0x7fc00000, which reaches only softmax_last's division, where the
+ * dividend's NaN passes on in C and numpy alike.
+ *
+ * Every entry point returns 0 once it has written its output.  A pass
+ * whose operands hold a NaN returns 1 (DECLINED), and the op runs its
+ * numpy form; a product that got no memory for its panel returns 2
+ * (NO_PANEL), and the op raises MemoryError.  numerics._strict_kernel
+ * reads these two codes.
  */
 #define _GNU_SOURCE
 #include <math.h>
@@ -77,6 +115,9 @@
 #if defined(__x86_64__)
 #pragma GCC target("prefer-vector-width=512")
 #endif
+
+/* The entry points' return codes other than 0 (see the header). */
+enum { DECLINED = 1, NO_PANEL = 2 };
 
 #define MR 4
 #define NR 32
@@ -206,14 +247,14 @@ static long threads_for(const struct job *j)
 }
 
 /* Run every task of *job on the caller's thread and up to T-1 detached
- * helpers; nonzero if the caller has no panel.  The caller waits for the
+ * helpers; NO_PANEL if the caller has no panel.  The caller waits for the
  * tasks, not for the helpers: one that starts after the last task was
  * claimed finds nothing to do, and the last thread out frees the job. */
 static int run_job(struct job *job)
 {
     float *panel = new_panel(job->k);
     if (!panel)
-        return 1;
+        return NO_PANEL;
     job->chunks = (job->m + MC - 1) / MC;
     job->tasks = job->chunks * ((job->n + NR - 1) / NR);
     long t = threads_for(job);
@@ -341,6 +382,141 @@ int resample4_f32(const float *restrict x, const long *restrict idx, const float
             if (nan)
                 one_nan(d, inner);
         }
+    }
+    return 0;
+}
+
+/* The elementwise passes (see the header). */
+
+/* e = minimum(x, -x) = -|x| over n entries; DECLINED if x holds a NaN. */
+int neg_abs_f32(const float *restrict x, float *restrict e, long n)
+{
+    int nan = 0;
+    for (long i = 0; i < n; i++) {
+        e[i] = x[i] < -x[i] ? x[i] : -x[i];
+        nan |= x[i] != x[i];
+    }
+    return nan ? DECLINED : 0;
+}
+
+/* e = x * (maximum(e, [x >= 0]) / (e + 1)) for e = exp(-|x|): x times its sigmoid. */
+int silu_f32(const float *restrict x, float *restrict e, long n)
+{
+    for (long i = 0; i < n; i++) {
+        float ge = x[i] >= 0.0f ? 1.0f : 0.0f;
+        float num = e[i] > ge ? e[i] : ge;
+        e[i] = x[i] * (num / (e[i] + 1.0f));
+    }
+    return 0;
+}
+
+/* out[g, i] = (x[g, i] - mu[g])^2 over groups rows of len entries; DECLINED,
+ * writing nothing, if mu holds a NaN (as it does where x does). */
+int group_sq_dev_f32(const float *restrict x, const float *restrict mu, float *restrict out, long groups, long len)
+{
+    for (long g = 0; g < groups; g++)
+        if (mu[g] != mu[g])
+            return DECLINED;
+    for (long g = 0; g < groups; g++, x += len, out += len) {
+        float m = mu[g];
+        for (long i = 0; i < len; i++) {
+            float d = x[i] - m;
+            out[i] = d * d;
+        }
+    }
+    return 0;
+}
+
+/* out[k, i] = ((x[k, i] - mu[g]) * r[g]) * gamma[k] + beta[k] for channel k of
+ * group g = k / (c / groups), hw entries a channel, after group_sq_dev_f32
+ * took the same mu; DECLINED, writing nothing, if gamma or beta holds a NaN. */
+int group_norm_f32(const float *restrict x, const float *restrict mu, const float *restrict r,
+                   const float *restrict gamma, const float *restrict beta, float *restrict out,
+                   long c, long hw, long groups)
+{
+    for (long k = 0; k < c; k++)
+        if (gamma[k] != gamma[k] || beta[k] != beta[k])
+            return DECLINED;
+    long per = c / groups;
+    for (long k = 0; k < c; k++, x += hw, out += hw) {
+        float m = mu[k / per], s = r[k / per], ga = gamma[k], be = beta[k];
+        for (long i = 0; i < hw; i++)
+            out[i] = ((x[i] - m) * s) * ga + be;
+    }
+    return 0;
+}
+
+/* Rows of softmax_last in 16-lane vectors; a row of n >= 16 entries ends
+ * with the vector of its last 16, which may share entries with the one
+ * before it, so no entry runs in a scalar tail. */
+#define LANES 16
+typedef float f32x16 __attribute__((vector_size(LANES * sizeof(float))));
+typedef int i32x16 __attribute__((vector_size(LANES * sizeof(int))));
+
+/* out = x - max(row) over rows of n entries; DECLINED if x holds a NaN or n < 1. */
+int sub_rowmax_f32(const float *restrict x, float *restrict out, long rows, long n)
+{
+    if (n < 1)
+        return DECLINED;
+    for (long row = 0; row < rows; row++, x += n, out += n) {
+        float m = x[0];
+        int nan = m != m;
+        if (n < LANES) {
+            for (long i = 1; i < n; i++) {
+                m = x[i] > m ? x[i] : m;
+                nan |= x[i] != x[i];
+            }
+            if (nan)
+                return DECLINED;
+            for (long i = 0; i < n; i++)
+                out[i] = x[i] - m;
+            continue;
+        }
+        f32x16 v, vm;
+        memcpy(&vm, x + n - LANES, sizeof vm);
+        i32x16 bad = vm != vm;
+        for (long i = 0; i < n - LANES; i += LANES) {
+            memcpy(&v, x + i, sizeof v);
+            i32x16 gt = v > vm;
+            vm = (f32x16)((gt & (i32x16)v) | (~gt & (i32x16)vm));
+            bad |= v != v;
+        }
+        for (int j = 0; j < LANES; j++) {
+            m = vm[j] > m ? vm[j] : m;
+            nan |= bad[j];
+        }
+        if (nan)
+            return DECLINED;
+        for (long i = 0; i < n - LANES; i += LANES) {
+            memcpy(&v, x + i, sizeof v);
+            v = v - m;
+            memcpy(out + i, &v, sizeof v);
+        }
+        memcpy(&v, x + n - LANES, sizeof v);
+        v = v - m;
+        memcpy(out + n - LANES, &v, sizeof v);
+    }
+    return 0;
+}
+
+/* out[row, i] /= s[row] over rows of n entries. */
+int div_rows_f32(const float *restrict s, float *restrict out, long rows, long n)
+{
+    for (long row = 0; row < rows; row++, out += n) {
+        if (n < LANES) {
+            for (long i = 0; i < n; i++)
+                out[i] /= s[row];
+            continue;
+        }
+        f32x16 v, last;
+        memcpy(&last, out + n - LANES, sizeof last);  /* before the loop divides the entries they share */
+        for (long i = 0; i < n - LANES; i += LANES) {
+            memcpy(&v, out + i, sizeof v);
+            v = v / s[row];
+            memcpy(out + i, &v, sizeof v);
+        }
+        last = last / s[row];
+        memcpy(out + n - LANES, &last, sizeof last);
     }
     return 0;
 }

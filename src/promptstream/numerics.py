@@ -21,21 +21,33 @@ the patch matrix that _im2col builds serves only the conv2d vjp, float64
 replay and the numpy fallback.  resample_cubic_axis's float32 forward
 runs the third, resample4_f32, which writes each output from its four
 taps straight into the result; its numpy form, which gathers one array
-per tap, serves float64 replay and the fallback.  The kernel is built with
+per tap, serves float64 replay and the fallback.  The float32 forwards
+of silu, group_norm and softmax_last run exactly rounded passes of the
+library around the steps numpy keeps, its exp and its sums: silu's min,
+max, add, div and mul; group_norm's centring and squaring, and then its
+scale and shift; softmax_last's row max and subtraction, and then its
+division.  Each op writes one array, in place.  Their numpy forms serve
+float64 replay, the fallback, any operand that holds a NaN, and a
+softmax_last operand that is not C-contiguous, whose rows numpy sums in
+another order.  Like the products' and the resample's, they are silent
+about inf - inf, -inf * 0 and overflow, as the passes are, so an op
+warns alike with and without the library.  The kernel is built with
 -ffp-contract=off, so no multiply and add fuse into one rounding, and
 never with -ffast-math, -Ofast, -funsafe-math-optimizations or
 -fassociative-math: those reorder the sum, and a library linked with
 them can switch on flush-to-zero for the whole process.  -march=native
 ties the object to the host, so it is cached per user under
 tempfile.gettempdir(), keyed by a hash of the source and the flags.  The
-source, not the flags, fixes the vector width: gcc's tuning for the Xeons
-with AVX-512 prefers 256-bit vectors, and a pragma in _strict_mm.c asks
-for 512, which only changes how many lanes run at once, not the bytes.
+source, not the flags, fixes the vector width: gcc's tuning for the
+Xeons with AVX-512 prefers 256-bit vectors, and a pragma in _strict_mm.c
+asks for 512, which only changes how many lanes run at once, not the
+bytes.
 
 _strict_mm.c's header states how a product runs as tasks on the CPUs of
 the calling thread's affinity mask with the same bytes for any number of
-threads, and why every NaN the strict product and the resample make,
-there and in their numpy forms, is numpy's quiet NaN.
+threads, why every NaN the strict product and the resample make, there
+and in their numpy forms, is numpy's quiet NaN, and why a NaN operand
+sends the elementwise passes to their numpy forms.
 
 No op writes to a Tensor's array; a tape is confined to one thread.
 """
@@ -81,6 +93,8 @@ STRICT_MM_SOURCE = Path(__file__).with_name("_strict_mm.c")
 # No flag sets the vector width: under -march=native, gcc's tuning for the
 # Xeons with AVX-512 prefers 256 bits, so _strict_mm.c asks for 512 itself.
 STRICT_MM_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
+# _strict_mm.c's NO_PANEL: a product got no memory for its panel.
+_NO_PANEL = 2
 # The library's entry points: name -> (operand dtypes, size arguments).  Each
 # takes a pointer to each operand, then one to its float32 output, then the
 # sizes.  np.intp is C's long on the LP64 hosts the kernel is built on.
@@ -88,6 +102,12 @@ STRICT_MM_ENTRIES = {
     "strict_mm_f32": ((F32, F32), 3),
     "strict_conv3x3_f32": ((F32, F32), 5),
     "resample4_f32": ((F32, np.intp, F32), 4),
+    "neg_abs_f32": ((F32,), 1),
+    "silu_f32": ((F32,), 1),
+    "group_sq_dev_f32": ((F32, F32), 2),
+    "group_norm_f32": ((F32, F32, F32, F32, F32), 3),
+    "sub_rowmax_f32": ((F32,), 2),
+    "div_rows_f32": ((F32,), 2),
 }
 
 
@@ -144,24 +164,32 @@ def _bind(lib):
 _dll = _load_strict_mm()
 
 
-def _strict_kernel(entry, operands, out_shape, *sizes):
-    """Run the C entry point on operands into a new float32 out_shape array; None where numpy runs.
+def _strict_kernel(entry, operands, out, *sizes):
+    """Run the C entry point on operands into out; None where numpy runs.
 
-    This is where the kernel or the numpy form is chosen: numpy runs when
-    the first operand is not float32 and wherever the library did not load.
-    Each operand is passed as a C-contiguous array of the dtype the entry
-    point reads.  The kernel trusts the sizes it is given; each op's check
-    runs before its forward.
+    out is the float32 array the entry point writes, or the shape of a new
+    one.  This is where the kernel or the numpy form is chosen: numpy runs
+    when the first operand is not float32, wherever the library did not
+    load, where a given out is not a C-contiguous float32 array, and where
+    an elementwise pass declines because its operands hold a NaN.  A
+    product that got no memory for its panel raises MemoryError.  Each
+    operand is passed as a C-contiguous array of the dtype the entry point
+    reads.  The kernel trusts the sizes it is given; each op's check runs
+    before its forward.
     """
     if operands[0].dtype != F32 or _dll is None:
         return None
+    if isinstance(out, tuple):
+        out = np.empty(out, dtype=F32)
+    elif out.dtype != F32 or not out.flags.c_contiguous:
+        return None  # the kernel reads out as C-ordered rows
     arrays = [np.ascontiguousarray(x, dtype=d) for x, d in zip(operands, STRICT_MM_ENTRIES[entry][0])]
-    out = np.empty(out_shape, dtype=F32)
     # Unlike x.ctypes.data, __array_interface__ leaves no cached ctypes objects behind.
     ptrs = [x.__array_interface__["data"][0] for x in (*arrays, out)]
-    if getattr(_dll, entry)(*ptrs, *sizes):
+    code = getattr(_dll, entry)(*ptrs, *sizes)
+    if code == _NO_PANEL:
         raise MemoryError(f"{entry}: no buffer for a 32-column panel")
-    return out
+    return None if code else out  # nonzero otherwise: _strict_mm.c's DECLINED
 
 
 def _mm_loop(a, b):
@@ -313,16 +341,42 @@ def _fwd_conv2d(a, p):
 
 
 def _fwd_silu(a, p):
-    sg = _sigmoid(a[0])
-    return np.multiply(a[0], sg, out=sg)
+    # In C, e = minimum(x, -x), then numpy's exp, then x * sigmoid in one
+    # pass: _sigmoid's steps and the product, into the one array e.  Both
+    # forms are silent about -inf * 0.
+    x = a[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = _strict_kernel("neg_abs_f32", a, x.shape, x.size)
+        if e is not None:
+            np.exp(e, out=e)
+            if _strict_kernel("silu_f32", a, e, x.size) is not None:
+                return e
+        sg = _sigmoid(x)
+        return np.multiply(x, sg, out=sg)
 
 
 def _fwd_softmax_last(a, p):
-    # One array, each step in place: the bytes of exp(x - max) / sum.
+    # One array, each step in place: the bytes of exp(x - max) / sum.  In C,
+    # one pass takes each row's max and subtracts it, and one divides each
+    # row by its sum; numpy keeps exp and the sums.  Both forms are silent
+    # about inf - inf and overflow.  out takes x's layout, and numpy sums a
+    # C-ordered row pairwise but a strided one in sequence, so the passes,
+    # which write C-ordered rows, run on a C-contiguous x alone.
     x = a[0]
-    out = np.subtract(x, x.max(axis=-1, keepdims=True))
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out = None
+    with np.errstate(invalid="ignore", over="ignore"):
+        if x.ndim and x.flags.c_contiguous:
+            rows, n = prod(x.shape[:-1]), x.shape[-1]
+            out = _strict_kernel("sub_rowmax_f32", a, x.shape, rows, n)
+        if out is None:
+            out = np.subtract(x, x.max(axis=-1, keepdims=True))
+            np.exp(out, out=out)
+            out /= out.sum(axis=-1, keepdims=True)
+            return out
+        np.exp(out, out=out)
+        s = out.sum(axis=-1, keepdims=True)
+        if _strict_kernel("div_rows_f32", (s,), out, rows, n) is None:
+            out /= s
     return out
 
 
@@ -406,10 +460,23 @@ def _normalized_groups(x, groups, eps):
 
 
 def _fwd_group_norm(a, p):
+    # In C, (x - mu)**2 into the output, then numpy's mean of it and the
+    # rsqrt, then the rest of the steps in one pass over the same array.
+    # Both forms are silent about inf - inf and overflow.
     x, gamma, beta = a
-    out = _normalized_groups(x, p["groups"], p["eps"])[0].reshape(x.shape)
-    out *= gamma.reshape(-1, 1, 1)
-    out += beta.reshape(-1, 1, 1)
+    groups, (c, h, w) = p["groups"], x.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        xg = x.reshape(groups, -1)
+        mu = xg.mean(axis=1, keepdims=True)
+        sq = _strict_kernel("group_sq_dev_f32", (xg, mu), xg.shape, *xg.shape)
+        if sq is not None:
+            r = _fwd_rsqrt_eps((sq.mean(axis=1, keepdims=True),), {"eps": p["eps"]})
+            out = _strict_kernel("group_norm_f32", (x, mu, r, gamma, beta), sq.reshape(x.shape), c, h * w, groups)
+            if out is not None:
+                return out
+        out = _normalized_groups(x, groups, p["eps"])[0].reshape(x.shape)
+        out *= gamma.reshape(-1, 1, 1)
+        out += beta.reshape(-1, 1, 1)
     return out
 
 
