@@ -79,9 +79,8 @@
  *                 group_sq_dev_f32: out = (x - mu)^2; then numpy's mean of
  *                 each row and r = 1/sqrt(var + eps);
  *                 group_norm_f32: out = ((x - mu) * r) * gamma[c] + beta[c].
- *   softmax_last  sub_rowmax_f32: out = x - max(row); then numpy's exp and
- *                 row sums;
- *                 div_rows_f32: out /= sum(row), a true division.
+ *   softmax_last  sub_rowmax_f32: out = x - max(row), for rows of at least
+ *                 LANES (16) entries; then numpy's exp, row sums and division.
  * Each writes out (or e) in place, so an op allocates its output alone,
  * and runs on the caller's thread: a 1 MiB pass takes about 0.07 ms, and
  * a pthread 31-42 us to make.  Like the products, the passes raise no
@@ -95,15 +94,14 @@
  * max is not always the row's first NaN.  So a pass whose operands hold a
  * NaN (x, mu, gamma or beta) declines, and the op runs its numpy form.
  * Without a NaN operand, the NaNs the steps make are the host's default NaN
- * (inf - inf, 0 * inf), the same in C and numpy, and numpy exp's
- * 0x7fc00000, which reaches only softmax_last's division, where the
- * dividend's NaN passes on in C and numpy alike.
+ * (inf - inf, 0 * inf), the same in C and numpy, and no pass reads a NaN
+ * that numpy's exp made.
  *
  * Every entry point returns 0 once it has written its output.  A pass
- * whose operands hold a NaN returns 1 (DECLINED), and the op runs its
- * numpy form; a product that got no memory for its panel returns 2
- * (NO_PANEL), and the op raises MemoryError.  numerics._strict_kernel
- * reads these two codes.
+ * whose operands hold a NaN, or whose softmax_last rows are shorter than
+ * one vector, returns 1 (DECLINED), and the op runs its numpy form; a
+ * product that got no memory for its panel returns 2 (NO_PANEL), and the
+ * op raises MemoryError.  numerics._strict_kernel reads these two codes.
  */
 #define _GNU_SOURCE
 #include <math.h>
@@ -446,32 +444,21 @@ int group_norm_f32(const float *restrict x, const float *restrict mu, const floa
     return 0;
 }
 
-/* Rows of softmax_last in 16-lane vectors; a row of n >= 16 entries ends
- * with the vector of its last 16, which may share entries with the one
- * before it, so no entry runs in a scalar tail. */
+/* Rows of softmax_last in 16-lane vectors; a row ends with the vector of
+ * its last 16 entries, which may share entries with the one before it, so
+ * no entry runs in a scalar tail. */
 #define LANES 16
 typedef float f32x16 __attribute__((vector_size(LANES * sizeof(float))));
 typedef int i32x16 __attribute__((vector_size(LANES * sizeof(int))));
 
-/* out = x - max(row) over rows of n entries; DECLINED if x holds a NaN or n < 1. */
+/* out = x - max(row) over rows of n entries; DECLINED if x holds a NaN or n < LANES. */
 int sub_rowmax_f32(const float *restrict x, float *restrict out, long rows, long n)
 {
-    if (n < 1)
+    if (n < LANES)
         return DECLINED;
     for (long row = 0; row < rows; row++, x += n, out += n) {
         float m = x[0];
         int nan = m != m;
-        if (n < LANES) {
-            for (long i = 1; i < n; i++) {
-                m = x[i] > m ? x[i] : m;
-                nan |= x[i] != x[i];
-            }
-            if (nan)
-                return DECLINED;
-            for (long i = 0; i < n; i++)
-                out[i] = x[i] - m;
-            continue;
-        }
         f32x16 v, vm;
         memcpy(&vm, x + n - LANES, sizeof vm);
         i32x16 bad = vm != vm;
@@ -495,28 +482,6 @@ int sub_rowmax_f32(const float *restrict x, float *restrict out, long rows, long
         memcpy(&v, x + n - LANES, sizeof v);
         v = v - m;
         memcpy(out + n - LANES, &v, sizeof v);
-    }
-    return 0;
-}
-
-/* out[row, i] /= s[row] over rows of n entries. */
-int div_rows_f32(const float *restrict s, float *restrict out, long rows, long n)
-{
-    for (long row = 0; row < rows; row++, out += n) {
-        if (n < LANES) {
-            for (long i = 0; i < n; i++)
-                out[i] /= s[row];
-            continue;
-        }
-        f32x16 v, last;
-        memcpy(&last, out + n - LANES, sizeof last);  /* before the loop divides the entries they share */
-        for (long i = 0; i < n - LANES; i += LANES) {
-            memcpy(&v, out + i, sizeof v);
-            v = v / s[row];
-            memcpy(out + i, &v, sizeof v);
-        }
-        last = last / s[row];
-        memcpy(out + n - LANES, &last, sizeof last);
     }
     return 0;
 }

@@ -6,8 +6,9 @@ Forward passes are bit-deterministic: reductions use a fixed summation
 order (matmul and conv accumulate strictly left-to-right over the
 contraction axis), so two runs over the same inputs produce identical
 bytes.  grad() walks the tape in reverse to return dLoss/dLeaf.  A live
-op and replay() both run an op through its one _Op call, which checks the
-operands and then runs the forward at their dtype.  group_norm, too, is
+op and replay() both run an op through its one _Op call, which gives the
+operands in C order, checks them and then runs the forward at their dtype,
+so an operand's layout never changes an op's bytes.  group_norm, too, is
 one op, with its steps in place and a closed-form vjp.
 
 The strict-order product has two implementations that give the same
@@ -25,11 +26,10 @@ per tap, serves float64 replay and the fallback.  The float32 forwards
 of silu, group_norm and softmax_last run exactly rounded passes of the
 library around the steps numpy keeps, its exp and its sums: silu's min,
 max, add, div and mul; group_norm's centring and squaring, and then its
-scale and shift; softmax_last's row max and subtraction, and then its
-division.  Each op writes one array, in place.  Their numpy forms serve
-float64 replay, the fallback, any operand that holds a NaN, and a
-softmax_last operand that is not C-contiguous, whose rows numpy sums in
-another order.  Like the products' and the resample's, they are silent
+scale and shift; softmax_last's row max and subtraction.  Each op writes
+one array, in place.  Their numpy forms serve float64 replay, the
+fallback, any operand that holds a NaN and a softmax_last row shorter
+than one vector.  Like the products' and the resample's, they are silent
 about inf - inf, -inf * 0 and overflow, as the passes are, so an op
 warns alike with and without the library.  The kernel is built with
 -ffp-contract=off, so no multiply and add fuse into one rounding, and
@@ -107,7 +107,6 @@ STRICT_MM_ENTRIES = {
     "group_sq_dev_f32": ((F32, F32), 2),
     "group_norm_f32": ((F32, F32, F32, F32, F32), 3),
     "sub_rowmax_f32": ((F32,), 2),
-    "div_rows_f32": ((F32,), 2),
 }
 
 
@@ -294,7 +293,10 @@ class _Op:
         self.check = check      # (arrays, params) -> None; raises on bad operands
 
     def __call__(self, arrays, params):
-        """Check the operands, then run the forward: the only way an op runs."""
+        """Give the operands in C order, check them, then run the forward: the only way an op runs."""
+        # numpy sums a C-ordered row pairwise but a strided one in sequence.
+        # Unlike np.ascontiguousarray, asarray keeps a 0-d operand 0-d.
+        arrays = [np.asarray(x, order="C") for x in arrays]
         if self.check is not None:
             self.check(arrays, params)
         return self.forward(arrays, params)
@@ -349,34 +351,24 @@ def _fwd_silu(a, p):
         e = _strict_kernel("neg_abs_f32", a, x.shape, x.size)
         if e is not None:
             np.exp(e, out=e)
-            if _strict_kernel("silu_f32", a, e, x.size) is not None:
-                return e
+            _strict_kernel("silu_f32", a, e, x.size)
+            return e
         sg = _sigmoid(x)
         return np.multiply(x, sg, out=sg)
 
 
 def _fwd_softmax_last(a, p):
     # One array, each step in place: the bytes of exp(x - max) / sum.  In C,
-    # one pass takes each row's max and subtracts it, and one divides each
-    # row by its sum; numpy keeps exp and the sums.  Both forms are silent
-    # about inf - inf and overflow.  out takes x's layout, and numpy sums a
-    # C-ordered row pairwise but a strided one in sequence, so the passes,
-    # which write C-ordered rows, run on a C-contiguous x alone.
+    # one pass takes each row's max and subtracts it; numpy keeps exp, the
+    # sums and the division.  Both forms are silent about inf - inf and
+    # overflow.
     x = a[0]
-    out = None
     with np.errstate(invalid="ignore", over="ignore"):
-        if x.ndim and x.flags.c_contiguous:
-            rows, n = prod(x.shape[:-1]), x.shape[-1]
-            out = _strict_kernel("sub_rowmax_f32", a, x.shape, rows, n)
+        out = _strict_kernel("sub_rowmax_f32", a, x.shape, prod(x.shape[:-1]), x.shape[-1])
         if out is None:
             out = np.subtract(x, x.max(axis=-1, keepdims=True))
-            np.exp(out, out=out)
-            out /= out.sum(axis=-1, keepdims=True)
-            return out
         np.exp(out, out=out)
-        s = out.sum(axis=-1, keepdims=True)
-        if _strict_kernel("div_rows_f32", (s,), out, rows, n) is None:
-            out /= s
+        out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
@@ -645,6 +637,11 @@ def _check_conv2d(arrays, params):
         raise _shape_error("conv2d(stride)", x.shape, w.shape)
 
 
+def _check_softmax_last(arrays, params):
+    if arrays[0].ndim == 0 or arrays[0].shape[-1] == 0:
+        raise ValueError(f"softmax_last: needs a last axis of at least one entry, got shape {arrays[0].shape}")
+
+
 def _check_reshape(arrays, params):
     if int(np.prod(params["shape"])) != arrays[0].size:
         raise _shape_error("reshape", arrays[0].shape, params["shape"])
@@ -678,15 +675,37 @@ def _check_resample_cubic_axis(arrays, params):
         raise IndexError(f"resample_cubic_axis: axis {ax} out of range for {nd} dimensions")
 
 
+def _check_mean_axes(arrays, params):
+    shape, axes = arrays[0].shape, params["axes"]
+    for ax in axes:
+        if not -len(shape) <= ax < len(shape):
+            raise IndexError(f"mean_axes: axis {ax} out of range for {len(shape)} dimensions")
+    if prod(shape[ax] for ax in axes) == 0:
+        raise ValueError(f"mean_axes: axes {axes} of shape {shape} hold no entries")
+
+
+def _check_mean_all(arrays, params):
+    if arrays[0].size == 0:
+        raise ValueError("mean_all: the operand is empty")
+
+
+def _check_eps(op, eps, dtype):
+    if not (isfinite(eps) and dtype.type(eps) > 0):
+        raise ValueError(f"{op}: eps must be finite and > 0 at the operands' dtype, got {eps!r}")
+
+
+def _check_rsqrt_eps(arrays, params):
+    _check_eps("rsqrt_eps", params["eps"], arrays[0].dtype)
+
+
 def _check_group_norm(arrays, params):
     x, gamma, beta = arrays
     if x.ndim != 3 or gamma.shape != x.shape[:1] or beta.shape != x.shape[:1]:
         raise _shape_error("group_norm", x.shape, gamma.shape, beta.shape)
-    groups, eps = params["groups"], params["eps"]
+    groups = params["groups"]
     if groups < 1 or x.shape[0] % groups:
         raise _shape_error("group_norm(groups)", x.shape, (groups,))
-    if not (isfinite(eps) and x.dtype.type(eps) > 0):
-        raise ValueError(f"group_norm: eps must be finite and > 0 at the operands' dtype, got {eps!r}")
+    _check_eps("group_norm", params["eps"], x.dtype)
 
 
 _OPS = {
@@ -697,16 +716,16 @@ _OPS = {
     "matmul": _Op(_fwd_matmul, _vjp_matmul, _check_matmul),
     "conv2d": _Op(_fwd_conv2d, _vjp_conv2d, _check_conv2d),
     "silu": _Op(_fwd_silu, _vjp_silu),
-    "softmax_last": _Op(_fwd_softmax_last, _vjp_softmax_last),
+    "softmax_last": _Op(_fwd_softmax_last, _vjp_softmax_last, _check_softmax_last),
     "reshape": _Op(_fwd_reshape, _vjp_reshape, _check_reshape),
     "transpose2d": _Op(_fwd_transpose2d, _vjp_transpose2d, _check_transpose2d),
     "take_axis": _Op(_fwd_take_axis, _vjp_take_axis, _check_take_axis),
     "lerp": _Op(_fwd_lerp, _vjp_lerp, _check_lerp),
     "resample_cubic_axis": _Op(_fwd_resample_cubic_axis, _vjp_resample_cubic_axis, _check_resample_cubic_axis),
-    "mean_axes": _Op(_fwd_mean_axes, _vjp_mean_axes),
+    "mean_axes": _Op(_fwd_mean_axes, _vjp_mean_axes, _check_mean_axes),
     "sum_all": _Op(_fwd_sum_all, _vjp_sum_all),
-    "mean_all": _Op(_fwd_mean_all, _vjp_mean_all),
-    "rsqrt_eps": _Op(_fwd_rsqrt_eps, _vjp_rsqrt_eps),
+    "mean_all": _Op(_fwd_mean_all, _vjp_mean_all, _check_mean_all),
+    "rsqrt_eps": _Op(_fwd_rsqrt_eps, _vjp_rsqrt_eps, _check_rsqrt_eps),
     "clip01": _Op(_fwd_clip01, _vjp_clip01),
     "group_norm": _Op(_fwd_group_norm, _vjp_group_norm, _check_group_norm),
 }
@@ -848,7 +867,7 @@ def silu(x):
 
 
 def softmax_last(x):
-    """Numerically stable softmax over the last axis."""
+    """Numerically stable softmax over the last axis, which must hold an entry (ValueError)."""
     return _apply("softmax_last", (x,))
 
 
@@ -900,7 +919,8 @@ def take_axis(x, idx, axis):
 
 
 def mean_axes(x, axes):
-    return _apply("mean_axes", (x,), axes=tuple(axes))
+    """Mean over the integer axes, kept as length 1; an axis out of range raises IndexError, no entries ValueError."""
+    return _apply("mean_axes", (x,), axes=tuple(index_arg(ax, "mean_axes: axis") for ax in axes))
 
 
 def sum_all(x):
@@ -908,10 +928,12 @@ def sum_all(x):
 
 
 def mean_all(x):
+    """Mean of every entry; an empty x raises ValueError."""
     return _apply("mean_all", (x,))
 
 
 def rsqrt_eps(x, eps=1e-5):
+    """1/sqrt(x + eps); eps must be finite and > 0 once rounded to x's dtype (ValueError)."""
     return _apply("rsqrt_eps", (x,), eps=float(eps))
 
 

@@ -426,7 +426,7 @@ class TestStrictKernel:
         monkeypatch.setattr(nm, "_dll", Library(0))
         assert nm._strict_kernel("sub_rowmax_f32", (x,), x.shape, 2, 3).shape == x.shape
         # A given out the kernel would misread as C-ordered rows: numpy runs, the entry point is not called.
-        assert nm._strict_kernel("div_rows_f32", (x[:, :1],), np.asfortranarray(x), 2, 3) is None
+        assert nm._strict_kernel("silu_f32", (x,), np.asfortranarray(x), 6) is None
         assert calls == ["sub_rowmax_f32"]
         monkeypatch.setattr(nm, "_dll", Library(1))
         assert nm._strict_kernel("sub_rowmax_f32", (x,), x.shape, 2, 3) is None
@@ -466,6 +466,9 @@ class TestStrictKernel:
         (so,) = tmp_path.rglob("*.so")
         cached = ctypes.CDLL(str(so))
         assert all(hasattr(cached, name) for name in nm.STRICT_MM_ENTRIES)
+        # Every function the source exports is bound: a C entry point nothing calls would be dead code.
+        exported = re.findall(r"^(?!static |typedef )\w[\w *]*?\b(\w+)\(", nm.STRICT_MM_SOURCE.read_text(), re.M)
+        assert sorted(exported) == sorted(nm.STRICT_MM_ENTRIES)
         rng = np.random.default_rng(77)
         x, w = randf(3, 6, 10, rng=rng), randf(5, 3, 3, 3, rng=rng)
         out = np.empty((5, 3, 5), np.float32)
@@ -548,8 +551,8 @@ def kernel_entries(draw, shape, specials=(KERNEL_SPECIALS,), scales=(1.0, 1e-20)
     return x
 
 
-# The layouts an elementwise op is given its operands in: the C passes read
-# C-ordered copies, and the numpy forms keep the operand's layout.
+# The layouts an elementwise op is given its operands in: every forward runs
+# on their C-ordered copies (_Op.__call__), in C and in numpy alike.
 LAYOUTS = {"C": lambda x: x, "Fortran": np.asfortranarray, "last axis reversed": lambda x: x[..., ::-1]}
 
 
@@ -1039,6 +1042,62 @@ class TestOneDriver:
             tape.replay({leaves[which].node: randf(*bad, rng=rng)}, dtype=dtype)
 
 
+def spread(rng, shape):
+    """float32 entries across two decades, so that the order of a sum shows in its bytes."""
+    return (rng.standard_normal(shape) * 10.0 ** rng.uniform(-1, 1, shape)).astype(np.float32)
+
+
+# Each op of nm._OPS as a public call on its array operands, and their shapes.
+# The first operand has two axes or more, so each of OPERAND_LAYOUTS moves its
+# entries.
+LAYOUT_CALLS = {
+    "add": (nm.add, [(24, 40), (24, 40)]),
+    "sub": (nm.sub, [(24, 40), (24, 40)]),
+    "mul": (nm.mul, [(24, 40), (24, 40)]),
+    "neg": (lambda x: -Tensor(x), [(24, 40)]),
+    "matmul": (nm.matmul, [(24, 40), (40, 36)]),
+    "conv2d": (lambda x, w: nm.conv2d(x, w, stride=2), [(3, 12, 20), (4, 3, 3, 3)]),
+    "silu": (nm.silu, [(24, 40)]),
+    "softmax_last": (nm.softmax_last, [(24, 77)]),
+    "reshape": (lambda x: nm.reshape(x, (40, 24)), [(24, 40)]),
+    "transpose2d": (nm.transpose2d, [(24, 40)]),
+    "take_axis": (lambda x: nm.take_axis(x, [3, 0, 3, 39], 1), [(24, 40)]),
+    "lerp": (lambda a, b: nm.lerp(a, b, 0.3), [(24, 40), (24, 40)]),
+    "resample_cubic_axis": (lambda x: nm.resample_cubic_axis(x, 3, 1), [(5, 12, 20)]),
+    "mean_axes": (lambda x: nm.mean_axes(x, (1,)), [(6, 40, 24)]),
+    "sum_all": (nm.sum_all, [(24, 77)]),
+    "mean_all": (nm.mean_all, [(24, 77)]),
+    "rsqrt_eps": (lambda x: nm.rsqrt_eps(x, eps=100.0), [(24, 40)]),  # x + eps > 0
+    "clip01": (nm.clip01, [(24, 40)]),
+    "group_norm": (lambda x, g, b: nm.group_norm(x, g, b, groups=2), [(4, 12, 20), (4,), (4,)]),
+}
+
+OPERAND_LAYOUTS = {**LAYOUTS, "last two axes transposed": lambda x: np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)
+                   if x.ndim > 1 else x}
+
+
+class TestOperandLayouts:
+    """An op's bytes do not depend on how its operands lie in memory."""
+
+    def test_every_op_has_a_call(self):
+        assert set(LAYOUT_CALLS) == set(nm._OPS)
+
+    @pytest.mark.parametrize("library", [True, False], ids=["library", "numpy"])
+    @pytest.mark.parametrize("op", sorted(LAYOUT_CALLS))
+    def test_any_layout_gives_the_bytes_of_its_c_copy(self, op, library, monkeypatch):
+        fn, shapes = LAYOUT_CALLS[op]
+        rng = np.random.default_rng(20261201)
+        arrays = [spread(rng, s) for s in shapes]
+        if not library:
+            monkeypatch.setattr(nm, "_dll", None)
+        for name, layout in OPERAND_LAYOUTS.items():
+            given = [layout(a) for a in arrays]
+            assert name == "C" or not given[0].flags.c_contiguous
+            got = fn(*given).data
+            want = fn(*[np.ascontiguousarray(g) for g in given]).data
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
 class TestTapeInputs:
     """A tape owns its leaves, and replay overrides only the nodes no op produced."""
 
@@ -1289,8 +1348,8 @@ class TestSoftmaxLast:
         assert peak <= x.nbytes + 64 * 1024
 
     def test_a_transposed_x_keeps_numpy_bytes(self, monkeypatch):
-        # A strided x, or one that holds a NaN, runs the whole numpy form, whose
-        # out keeps x's layout and whose sums run along it.
+        # A strided x runs on its C-ordered copy, and one that holds a NaN
+        # runs the numpy form: the bytes are those of _dll = None either way.
         y = np.random.default_rng(20261026).standard_normal((40, 20)).astype(np.float32)
         for nan in (False, True):
             y[3, 5] = np.nan if nan else y[3, 5]
@@ -1313,6 +1372,13 @@ class TestSoftmaxLast:
             assert nm._dll.sub_rowmax_f32(*ptrs, *a.shape) == declined
         with np.errstate(invalid="ignore"):
             assert nm.softmax_last(x).data.tobytes() == three_array_softmax(x).tobytes()
+
+    def test_a_row_shorter_than_one_vector_runs_the_numpy_form(self):
+        x = np.random.default_rng(20261027).standard_normal((5, 16)).astype(np.float32)
+        out = np.empty_like(x)
+        for n, declined in ((1, 1), (15, 1), (16, 0)):
+            assert nm._dll.sub_rowmax_f32(x.ctypes.data, out.ctypes.data, 5, n) == declined
+        assert nm.softmax_last(x[:, :15]).data.tobytes() == three_array_softmax(x[:, :15]).tobytes()
 
 
 class TestLerp:
@@ -1419,6 +1485,23 @@ class TestGather:
         assert got.tobytes() == x.astype(np.float64).reshape(-1)[idx].reshape(out_shape).tobytes()
 
 
+# op, its keyword arguments and its good operand's shape; then the operand or
+# the keyword arguments put in their place, which the op rejects, and the error
+BAD_INPUTS = {
+    "softmax_last of a 0-d x": (nm.softmax_last, {}, (3, 4), np.float32(2), {}, ValueError),
+    "softmax_last over an empty last axis": (nm.softmax_last, {}, (3, 4), np.ones((3, 0), np.float32), {}, ValueError),
+    "rsqrt_eps at eps -2": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": -2.0}, ValueError),
+    "rsqrt_eps at eps 0": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": 0.0}, ValueError),
+    "rsqrt_eps at eps nan": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": np.nan}, ValueError),
+    "rsqrt_eps at eps inf": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": np.inf}, ValueError),
+    "rsqrt_eps at eps 1e-50": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": 1e-50}, ValueError),  # 0 as a float32
+    "mean_all of an empty x": (nm.mean_all, {}, (3, 4), np.ones((0, 4), np.float32), {}, ValueError),
+    "mean_axes over axis 2 of two": (nm.mean_axes, {"axes": (1,)}, (3, 4), None, {"axes": (2,)}, IndexError),
+    "mean_axes over axis -3 of two": (nm.mean_axes, {"axes": (1,)}, (3, 4), None, {"axes": (0, -3)}, IndexError),
+    "mean_axes over no entries": (nm.mean_axes, {"axes": (1,)}, (3, 4), np.ones((3, 0), np.float32), {}, ValueError),
+}
+
+
 class TestArgumentChecks:
     @pytest.mark.parametrize("op", [nm.add, nm.sub, nm.mul], ids=["add", "sub", "mul"])
     def test_elementwise_rejects_shapes_that_do_not_broadcast(self, op):
@@ -1481,6 +1564,28 @@ class TestArgumentChecks:
         rng = np.random.default_rng(84)
         with pytest.raises(ValueError, match="eps"):
             nm.group_norm(randf(4, 3, 3, rng=rng), randf(4, rng=rng), randf(4, rng=rng), groups=2, eps=eps)
+
+    @pytest.mark.parametrize("where", ["live", "replay"])
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_ops_reject_bad_inputs_in_their_own_words(self, case, where):
+        fn, kwargs, shape, bad_x, bad_kwargs, error = BAD_INPUTS[case]
+        rng = np.random.default_rng(85)
+        x = randf(*shape, lo=0.1, rng=rng) if bad_x is None else bad_x
+        if where == "live":
+            with pytest.raises(error, match=f"^{fn.__name__}: "):
+                fn(x, **{**kwargs, **bad_kwargs})
+            return
+        tape = GradTape()
+        leaf = tape.leaf(randf(*shape, lo=0.1, rng=rng))
+        fn(leaf, **kwargs)
+        tape.records[-1].params.update(bad_kwargs)  # as if the op had been recorded with them
+        with pytest.raises(error, match=f"^{fn.__name__}: "):
+            tape.replay({leaf.node: x})
+
+    @pytest.mark.parametrize("axis", [True, 1.0])
+    def test_mean_axes_rejects_axes_that_are_not_integers(self, axis):
+        with pytest.raises(TypeError, match="mean_axes: axis"):
+            nm.mean_axes(randf(3, 4, rng=np.random.default_rng(86)), (axis,))
 
 
 class TestResampling:
