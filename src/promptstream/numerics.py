@@ -7,9 +7,9 @@ order (matmul and conv accumulate strictly left-to-right over the
 contraction axis), so two runs over the same inputs produce identical
 bytes.  grad() walks the tape in reverse to return dLoss/dLeaf.  A live
 op and replay() both run an op through its one _Op call, which gives the
-operands in C order, checks them and then runs the forward at their dtype,
-so an operand's layout never changes an op's bytes.  group_norm, too, is
-one op, with its steps in place and a closed-form vjp.
+operands in C order and then runs the forward at their dtype, which checks
+them first, so an operand's layout never changes an op's bytes.
+group_norm, too, is one op, with its steps in place and a closed-form vjp.
 
 The strict-order product has two implementations that give the same
 bytes.  At float32 it runs a small C kernel (_strict_mm.c), compiled with
@@ -82,6 +82,23 @@ class UnknownLeafError(ValueError):
 
 def _shape_error(op, *shapes):
     return ShapeMismatchError(f"{op}: incompatible shapes " + " vs ".join(str(tuple(s)) for s in shapes))
+
+
+def _check_broadcast(op, a, b):
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise _shape_error(op, a.shape, b.shape) from None
+
+
+def _check_upsample_factor(factor):
+    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError(f"upsample factor must be an integer >= 1, got {factor!r}")
+
+
+def _check_eps(op, eps, dtype):
+    if not (isfinite(eps) and dtype.type(eps) > 0):
+        raise ValueError(f"{op}: eps must be finite and > 0 at the operands' dtype, got {eps!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +190,22 @@ def _strict_kernel(entry, operands, out, *sizes):
     an elementwise pass declines because its operands hold a NaN.  A
     product that got no memory for its panel raises MemoryError.  Each
     operand is passed as a C-contiguous array of the dtype the entry point
-    reads.  The kernel trusts the sizes it is given; each op's check runs
-    before its forward.
+    reads.  The kernel trusts the sizes it is given; each forward checks its
+    operands before it calls here.  A call with another number of operands
+    or sizes than its entry's row of STRICT_MM_ENTRIES raises TypeError,
+    whichever form runs.
     """
+    dtypes, n_sizes = STRICT_MM_ENTRIES[entry]
+    if len(operands) != len(dtypes) or len(sizes) != n_sizes:
+        raise TypeError(f"{entry}: takes {len(dtypes)} operands and {n_sizes} sizes, "
+                        f"got {len(operands)} and {len(sizes)}")
     if operands[0].dtype != F32 or _dll is None:
         return None
     if isinstance(out, tuple):
         out = np.empty(out, dtype=F32)
     elif out.dtype != F32 or not out.flags.c_contiguous:
         return None  # the kernel reads out as C-ordered rows
-    arrays = [np.ascontiguousarray(x, dtype=d) for x, d in zip(operands, STRICT_MM_ENTRIES[entry][0])]
+    arrays = [np.ascontiguousarray(x, dtype=d) for x, d in zip(operands, dtypes)]
     # Unlike x.ctypes.data, __array_interface__ leaves no cached ctypes objects behind.
     ptrs = [x.__array_interface__["data"][0] for x in (*arrays, out)]
     code = getattr(_dll, entry)(*ptrs, *sizes)
@@ -285,32 +308,32 @@ def _unbroadcast(g, shape):
 
 
 class _Op:
-    __slots__ = ("forward", "vjp", "check")
+    __slots__ = ("forward", "vjp")
 
-    def __init__(self, forward, vjp, check=None):
-        self.forward = forward  # (arrays, params) -> array at the arrays' dtype; trusts the check
+    def __init__(self, forward, vjp):
+        self.forward = forward  # (arrays, params) -> array at the arrays' dtype; raises on bad operands first
         self.vjp = vjp          # (arrays, params, out, g, needs) -> per-input grads, None where not needed
-        self.check = check      # (arrays, params) -> None; raises on bad operands
 
     def __call__(self, arrays, params):
-        """Give the operands in C order, check them, then run the forward: the only way an op runs."""
+        """Give the operands in C order, then run the forward, which checks them first: the only way an op runs."""
         # numpy sums a C-ordered row pairwise but a strided one in sequence.
         # Unlike np.ascontiguousarray, asarray keeps a 0-d operand 0-d.
         arrays = [np.asarray(x, order="C") for x in arrays]
-        if self.check is not None:
-            self.check(arrays, params)
         return self.forward(arrays, params)
 
 
 def _fwd_add(a, p):
+    _check_broadcast("add", a[0], a[1])
     return a[0] + a[1]
 
 
 def _fwd_sub(a, p):
+    _check_broadcast("sub", a[0], a[1])
     return a[0] - a[1]
 
 
 def _fwd_mul(a, p):
+    _check_broadcast("mul", a[0], a[1])
     return a[0] * a[1]
 
 
@@ -326,14 +349,23 @@ def _fwd_matmul(a, p):
     dtype.  The C kernel and _mm_loop follow this order, so they give the
     same bytes; _strict_kernel picks which one runs.
     """
-    (m, k), n = a[0].shape, a[1].shape[1]
+    x, y = a
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+        raise _shape_error("matmul", x.shape, y.shape)
+    (m, k), n = x.shape, y.shape[1]
     out = _strict_kernel("strict_mm_f32", a, (m, n), m, k, n)
-    return _mm_loop(*a) if out is None else out
+    return _mm_loop(x, y) if out is None else out
 
 
 def _fwd_conv2d(a, p):
     x, w = a
+    if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[0] != w.shape[1]:
+        raise _shape_error("conv2d", x.shape, w.shape)
     s = p["stride"]
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (1, 2):
+        raise ValueError(f"conv2d: stride must be the integer 1 or 2, got {s!r}")
+    if x.shape[1] % s or x.shape[2] % s:
+        raise _shape_error("conv2d(stride)", x.shape, w.shape)
     co = w.shape[0]
     c, h, wd = x.shape
     out = _strict_kernel("strict_conv3x3_f32", a, (co, h // s, wd // s), c, h, wd, co, s)
@@ -363,6 +395,8 @@ def _fwd_softmax_last(a, p):
     # sums and the division.  Both forms are silent about inf - inf and
     # overflow.
     x = a[0]
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError(f"softmax_last: needs a last axis of at least one entry, got shape {x.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
         out = _strict_kernel("sub_rowmax_f32", a, x.shape, prod(x.shape[:-1]), x.shape[-1])
         if out is None:
@@ -373,26 +407,38 @@ def _fwd_softmax_last(a, p):
 
 
 def _fwd_reshape(a, p):
+    if int(np.prod(p["shape"])) != a[0].size:
+        raise _shape_error("reshape", a[0].shape, p["shape"])
     return a[0].reshape(p["shape"])
 
 
 def _fwd_transpose2d(a, p):
+    if a[0].ndim != 2:
+        raise _shape_error("transpose2d", a[0].shape)
     return np.ascontiguousarray(a[0].T)
 
 
 def _fwd_take_axis(a, p):
-    return np.take(a[0], p["idx"], axis=p["axis"])
+    idx, n = p["idx"], a[0].shape[p["axis"]]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"take_axis: index out of range [0, {n})")
+    return np.take(a[0], idx, axis=p["axis"])
 
 
 def _fwd_lerp(a, p):
+    if a[0].shape != a[1].shape:
+        raise _shape_error("lerp", a[0].shape, a[1].shape)
     out = np.multiply(a[0], a[0].dtype.type(p["wa"]))
     out += np.multiply(a[1], a[1].dtype.type(p["wb"]))
     return out
 
 
 def _fwd_resample_cubic_axis(a, p):
-    x = a[0]
-    ax = p["axis"] % x.ndim
+    x, ax = a[0], p["axis"]
+    _check_upsample_factor(p["factor"])
+    if not -x.ndim <= ax < x.ndim:
+        raise IndexError(f"resample_cubic_axis: axis {ax} out of range for {x.ndim} dimensions")
+    ax %= x.ndim
     idx, w = _catmull_rom_taps(x.shape[ax], p["factor"])
     nj = idx.shape[1]
     outer, n, inner = prod(x.shape[:ax]), x.shape[ax], prod(x.shape[ax + 1:])
@@ -423,7 +469,13 @@ def _fwd_resample_cubic_axis(a, p):
 
 
 def _fwd_mean_axes(a, p):
-    return a[0].mean(axis=p["axes"], keepdims=True)
+    shape, axes = a[0].shape, p["axes"]
+    for ax in axes:
+        if not -len(shape) <= ax < len(shape):
+            raise IndexError(f"mean_axes: axis {ax} out of range for {len(shape)} dimensions")
+    if prod(shape[ax] for ax in axes) == 0:
+        raise ValueError(f"mean_axes: axes {axes} of shape {shape} hold no entries")
+    return a[0].mean(axis=axes, keepdims=True)
 
 
 def _fwd_sum_all(a, p):
@@ -431,11 +483,18 @@ def _fwd_sum_all(a, p):
 
 
 def _fwd_mean_all(a, p):
+    if a[0].size == 0:
+        raise ValueError("mean_all: the operand is empty")
     return np.asarray(a[0].mean())
 
 
+def _rsqrt(v, eps):
+    return 1.0 / np.sqrt(v + v.dtype.type(eps))
+
+
 def _fwd_rsqrt_eps(a, p):
-    return 1.0 / np.sqrt(a[0] + a[0].dtype.type(p["eps"]))
+    _check_eps("rsqrt_eps", p["eps"], a[0].dtype)
+    return _rsqrt(a[0], p["eps"])
 
 
 def _fwd_clip01(a, p):
@@ -446,7 +505,7 @@ def _normalized_groups(x, groups, eps):
     """x's groups as rows, normalized by group_norm's first five steps, and the rows' rsqrt factors."""
     xg = x.reshape(groups, -1)
     out = xg - xg.mean(axis=1, keepdims=True)
-    r = _fwd_rsqrt_eps(((out * out).mean(axis=1, keepdims=True),), {"eps": eps})
+    r = _rsqrt((out * out).mean(axis=1, keepdims=True), eps)
     out *= r
     return out, r
 
@@ -456,13 +515,19 @@ def _fwd_group_norm(a, p):
     # rsqrt, then the rest of the steps in one pass over the same array.
     # Both forms are silent about inf - inf and overflow.
     x, gamma, beta = a
-    groups, (c, h, w) = p["groups"], x.shape
+    if x.ndim != 3 or gamma.shape != x.shape[:1] or beta.shape != x.shape[:1]:
+        raise _shape_error("group_norm", x.shape, gamma.shape, beta.shape)
+    groups = p["groups"]
+    if groups < 1 or x.shape[0] % groups:
+        raise _shape_error("group_norm(groups)", x.shape, (groups,))
+    _check_eps("group_norm", p["eps"], x.dtype)
+    c, h, w = x.shape
     with np.errstate(invalid="ignore", over="ignore"):
         xg = x.reshape(groups, -1)
         mu = xg.mean(axis=1, keepdims=True)
         sq = _strict_kernel("group_sq_dev_f32", (xg, mu), xg.shape, *xg.shape)
         if sq is not None:
-            r = _fwd_rsqrt_eps((sq.mean(axis=1, keepdims=True),), {"eps": p["eps"]})
+            r = _rsqrt(sq.mean(axis=1, keepdims=True), p["eps"])
             out = _strict_kernel("group_norm_f32", (x, mu, r, gamma, beta), sq.reshape(x.shape), c, h * w, groups)
             if out is not None:
                 return out
@@ -611,123 +676,26 @@ def _vjp_group_norm(a, p, out, g, needs):
             g.sum(axis=(1, 2)) if needs[2] else None)
 
 
-def _check_broadcast(name):
-    def check(arrays, params):
-        try:
-            np.broadcast_shapes(arrays[0].shape, arrays[1].shape)
-        except ValueError:
-            raise _shape_error(name, arrays[0].shape, arrays[1].shape) from None
-    return check
-
-
-def _check_matmul(arrays, params):
-    a, b = arrays
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise _shape_error("matmul", a.shape, b.shape)
-
-
-def _check_conv2d(arrays, params):
-    x, w = arrays
-    if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[0] != w.shape[1]:
-        raise _shape_error("conv2d", x.shape, w.shape)
-    s = params["stride"]
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (1, 2):
-        raise ValueError(f"conv2d: stride must be the integer 1 or 2, got {s!r}")
-    if x.shape[1] % s or x.shape[2] % s:
-        raise _shape_error("conv2d(stride)", x.shape, w.shape)
-
-
-def _check_softmax_last(arrays, params):
-    if arrays[0].ndim == 0 or arrays[0].shape[-1] == 0:
-        raise ValueError(f"softmax_last: needs a last axis of at least one entry, got shape {arrays[0].shape}")
-
-
-def _check_reshape(arrays, params):
-    if int(np.prod(params["shape"])) != arrays[0].size:
-        raise _shape_error("reshape", arrays[0].shape, params["shape"])
-
-
-def _check_transpose2d(arrays, params):
-    if arrays[0].ndim != 2:
-        raise _shape_error("transpose2d", arrays[0].shape)
-
-
-def _check_take_axis(arrays, params):
-    idx, n = params["idx"], arrays[0].shape[params["axis"]]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"take_axis: index out of range [0, {n})")
-
-
-def _check_lerp(arrays, params):
-    if arrays[0].shape != arrays[1].shape:
-        raise _shape_error("lerp", arrays[0].shape, arrays[1].shape)
-
-
-def _check_upsample_factor(factor):
-    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"upsample factor must be an integer >= 1, got {factor!r}")
-
-
-def _check_resample_cubic_axis(arrays, params):
-    _check_upsample_factor(params["factor"])
-    ax, nd = params["axis"], arrays[0].ndim
-    if not -nd <= ax < nd:
-        raise IndexError(f"resample_cubic_axis: axis {ax} out of range for {nd} dimensions")
-
-
-def _check_mean_axes(arrays, params):
-    shape, axes = arrays[0].shape, params["axes"]
-    for ax in axes:
-        if not -len(shape) <= ax < len(shape):
-            raise IndexError(f"mean_axes: axis {ax} out of range for {len(shape)} dimensions")
-    if prod(shape[ax] for ax in axes) == 0:
-        raise ValueError(f"mean_axes: axes {axes} of shape {shape} hold no entries")
-
-
-def _check_mean_all(arrays, params):
-    if arrays[0].size == 0:
-        raise ValueError("mean_all: the operand is empty")
-
-
-def _check_eps(op, eps, dtype):
-    if not (isfinite(eps) and dtype.type(eps) > 0):
-        raise ValueError(f"{op}: eps must be finite and > 0 at the operands' dtype, got {eps!r}")
-
-
-def _check_rsqrt_eps(arrays, params):
-    _check_eps("rsqrt_eps", params["eps"], arrays[0].dtype)
-
-
-def _check_group_norm(arrays, params):
-    x, gamma, beta = arrays
-    if x.ndim != 3 or gamma.shape != x.shape[:1] or beta.shape != x.shape[:1]:
-        raise _shape_error("group_norm", x.shape, gamma.shape, beta.shape)
-    groups = params["groups"]
-    if groups < 1 or x.shape[0] % groups:
-        raise _shape_error("group_norm(groups)", x.shape, (groups,))
-    _check_eps("group_norm", params["eps"], x.dtype)
-
-
 _OPS = {
-    "add": _Op(_fwd_add, _vjp_add, _check_broadcast("add")),
-    "sub": _Op(_fwd_sub, _vjp_sub, _check_broadcast("sub")),
-    "mul": _Op(_fwd_mul, _vjp_mul, _check_broadcast("mul")),
+    "add": _Op(_fwd_add, _vjp_add),
+    "sub": _Op(_fwd_sub, _vjp_sub),
+    "mul": _Op(_fwd_mul, _vjp_mul),
     "neg": _Op(_fwd_neg, _vjp_neg),
-    "matmul": _Op(_fwd_matmul, _vjp_matmul, _check_matmul),
-    "conv2d": _Op(_fwd_conv2d, _vjp_conv2d, _check_conv2d),
+    "matmul": _Op(_fwd_matmul, _vjp_matmul),
+    "conv2d": _Op(_fwd_conv2d, _vjp_conv2d),
     "silu": _Op(_fwd_silu, _vjp_silu),
-    "softmax_last": _Op(_fwd_softmax_last, _vjp_softmax_last, _check_softmax_last),
-    "reshape": _Op(_fwd_reshape, _vjp_reshape, _check_reshape),
-    "transpose2d": _Op(_fwd_transpose2d, _vjp_transpose2d, _check_transpose2d),
-    "take_axis": _Op(_fwd_take_axis, _vjp_take_axis, _check_take_axis),
-    "lerp": _Op(_fwd_lerp, _vjp_lerp, _check_lerp),
-    "resample_cubic_axis": _Op(_fwd_resample_cubic_axis, _vjp_resample_cubic_axis, _check_resample_cubic_axis),
-    "mean_axes": _Op(_fwd_mean_axes, _vjp_mean_axes, _check_mean_axes),
+    "softmax_last": _Op(_fwd_softmax_last, _vjp_softmax_last),
+    "reshape": _Op(_fwd_reshape, _vjp_reshape),
+    "transpose2d": _Op(_fwd_transpose2d, _vjp_transpose2d),
+    "take_axis": _Op(_fwd_take_axis, _vjp_take_axis),
+    "lerp": _Op(_fwd_lerp, _vjp_lerp),
+    "resample_cubic_axis": _Op(_fwd_resample_cubic_axis, _vjp_resample_cubic_axis),
+    "mean_axes": _Op(_fwd_mean_axes, _vjp_mean_axes),
     "sum_all": _Op(_fwd_sum_all, _vjp_sum_all),
-    "mean_all": _Op(_fwd_mean_all, _vjp_mean_all, _check_mean_all),
-    "rsqrt_eps": _Op(_fwd_rsqrt_eps, _vjp_rsqrt_eps, _check_rsqrt_eps),
+    "mean_all": _Op(_fwd_mean_all, _vjp_mean_all),
+    "rsqrt_eps": _Op(_fwd_rsqrt_eps, _vjp_rsqrt_eps),
     "clip01": _Op(_fwd_clip01, _vjp_clip01),
-    "group_norm": _Op(_fwd_group_norm, _vjp_group_norm, _check_group_norm),
+    "group_norm": _Op(_fwd_group_norm, _vjp_group_norm),
 }
 
 

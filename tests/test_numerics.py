@@ -434,6 +434,19 @@ class TestStrictKernel:
         with pytest.raises(MemoryError, match="strict_mm_f32"):
             nm.matmul(x, x.T)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("library", [True, False], ids=["library", "numpy"])
+    def test_a_call_must_match_its_entry(self, library, dtype, monkeypatch):
+        # ctypes passes an extra size through and zip drops an extra operand;
+        # the count is checked whichever form would run.
+        x = np.ones((2, 16), dtype)
+        if not library:
+            monkeypatch.setattr(nm, "_dll", None)
+        with pytest.raises(TypeError, match="^sub_rowmax_f32: takes 1 operands and 2 sizes, got 2 and 2$"):
+            nm._strict_kernel("sub_rowmax_f32", (x, x), x.shape, 2, 16)
+        with pytest.raises(TypeError, match="^sub_rowmax_f32: takes 1 operands and 2 sizes, got 1 and 3$"):
+            nm._strict_kernel("sub_rowmax_f32", (x,), x.shape, 2, 16, 99)
+
     def test_no_compiler_means_no_kernel(self, monkeypatch, tmp_path):
         def no_gcc(*args, **kwargs):
             raise FileNotFoundError("gcc")
@@ -1019,7 +1032,7 @@ BAD_OVERRIDES = {
 
 
 class TestOneDriver:
-    """Live ops and replay run each op through the same check-then-forward call."""
+    """Live ops and replay run each op through the same call, whose forward checks its operands first."""
 
     def test_replay_runs_every_op(self):
         tape = GradTape()
@@ -1132,6 +1145,10 @@ class TestTapeInputs:
         assert tape.replay()[loss.node].tolist() == 3.0
         (after,) = nm.grad(loss, [x])
         assert before.data.tolist() == after.data.tolist() == [2.0, 2.0, 2.0]
+
+    def test_repr_says_whether_a_tensor_is_tracked(self):
+        assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3), tracked=False)"
+        assert repr(GradTape().leaf(np.zeros(4))) == "Tensor(shape=(4,), tracked=True)"
 
     @pytest.mark.parametrize("which", ["produced", "unknown"])
     def test_override_of_a_non_input_raises(self, which):
@@ -1502,6 +1519,52 @@ BAD_INPUTS = {
 }
 
 
+def bad_calls():
+    """Each bad input of this file that an op rejects, by name: the public function, its arguments and keywords.
+
+    Those of BAD_INPUTS and BAD_OVERRIDES, the shape, stride, groups and eps
+    cases of TestArgumentChecks, and the shape, index, axis and factor cases
+    of TestMatmul, TestGather, TestLerp and TestResampleCubicAxis.
+    """
+    rng = np.random.default_rng(87)
+
+    def r(*shape):
+        return randf(*shape, lo=0.1, rng=rng)
+
+    for case, (fn, kwargs, shape, bad_x, bad_kwargs, _) in BAD_INPUTS.items():
+        yield case, fn, (r(*shape) if bad_x is None else bad_x,), {**kwargs, **bad_kwargs}
+    for op, (fn, shapes, which, bad) in BAD_OVERRIDES.items():
+        yield f"{op} with operand {which} of shape {bad}", fn, [r(*(bad if i == which else s))
+                                                               for i, s in enumerate(shapes)], {}
+    for fn in (nm.add, nm.sub, nm.mul):
+        yield f"{fn.__name__} of (3, 4) and (3,)", fn, (r(3, 4), r(3)), {}
+    yield "matmul of (5, 4) and (3, 2)", nm.matmul, (r(5, 4), r(3, 2)), {}
+    for shape in [(2, 5, 4), (2, 4, 5)]:
+        yield f"conv2d of {shape} at stride 2", nm.conv2d, (r(*shape), r(3, 2, 3, 3)), {"stride": 2}
+    for stride in [True, 1.0, 2.0, 0, 3]:
+        yield f"conv2d at stride {stride!r}", nm.conv2d, (r(2, 4, 4), r(3, 2, 3, 3)), {"stride": stride}
+    yield "reshape of 12 entries to (5, 2)", nm.reshape, (r(3, 4), (5, 2)), {}
+    yield "transpose2d of three axes", nm.transpose2d, (r(2, 3, 4),), {}
+    for idx in [[-1], [0, -3], [3]]:
+        yield f"take_axis at {idx}", nm.take_axis, (r(2, 3), idx, 1), {}
+    for shapes in [((3, 4), (4, 3)), ((3, 4), (1, 4)), ((3, 4), (3, 4, 1))]:
+        yield f"lerp of {shapes[0]} and {shapes[1]}", nm.lerp, (r(*shapes[0]), r(*shapes[1]), 0.5), {}
+    for factor in [2.5, 2.0, 0, -1, True, "2"]:
+        yield f"resample_cubic_axis by {factor!r}", nm.resample_cubic_axis, (r(4, 4, 3), factor, 0), {}
+    for axis in [3, -4]:
+        yield f"resample_cubic_axis along axis {axis}", nm.resample_cubic_axis, (r(4, 4, 3), 2, axis), {}
+    for groups in [0, -2]:
+        yield f"group_norm in {groups} groups", nm.group_norm, (r(4, 3, 3), r(4), r(4)), {"groups": groups}
+    for shapes in [[(4, 9), (4,), (4,)], [(1, 4, 3, 3), (4,), (4,)], [(4, 3, 3), (3,), (4,)],
+                   [(4, 3, 3), (4,), (4, 1, 1)], [(6, 3, 3), (6,), (6,)]]:
+        yield f"group_norm of {shapes}", nm.group_norm, [r(*s) for s in shapes], {"groups": 4}
+    for eps in [0.0, -1.0, np.inf, np.nan, 1e-50]:
+        yield f"group_norm at eps {eps}", nm.group_norm, (r(4, 3, 3), r(4), r(4)), {"groups": 2, "eps": eps}
+
+
+BAD_CALLS = {case: call for case, *call in bad_calls()}
+
+
 class TestArgumentChecks:
     @pytest.mark.parametrize("op", [nm.add, nm.sub, nm.mul], ids=["add", "sub", "mul"])
     def test_elementwise_rejects_shapes_that_do_not_broadcast(self, op):
@@ -1581,6 +1644,25 @@ class TestArgumentChecks:
         tape.records[-1].params.update(bad_kwargs)  # as if the op had been recorded with them
         with pytest.raises(error, match=f"^{fn.__name__}: "):
             tape.replay({leaf.node: x})
+
+    @pytest.mark.parametrize("case", list(BAD_CALLS))
+    def test_a_forward_rejects_bad_input_by_itself(self, case, monkeypatch):
+        # The public call fails in its op; the op's forward alone, given the
+        # same operands and params, raises the same error.
+        fn, args, kwargs = BAD_CALLS[case]
+        calls, call = [], nm._Op.__call__
+
+        def recorded(op, arrays, params):
+            calls.append((op, arrays, params))
+            return call(op, arrays, params)
+
+        monkeypatch.setattr(nm._Op, "__call__", recorded)
+        with pytest.raises(Exception) as public:
+            fn(*args, **kwargs)
+        ((op, arrays, params),) = calls
+        with pytest.raises(Exception) as alone:
+            op.forward(arrays, params)
+        assert type(alone.value) is type(public.value) and str(alone.value) == str(public.value)
 
     @pytest.mark.parametrize("axis", [True, 1.0])
     def test_mean_axes_rejects_axes_that_are_not_integers(self, axis):

@@ -1,5 +1,7 @@
-"""Packaging metadata: every module and data file pyproject.toml names exists, and every test extra is used."""
+"""Packaging metadata and source hygiene: every module and data file pyproject.toml names exists, every test
+extra is used, and no private helper of the library goes unused."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -57,3 +59,17 @@ def test_every_test_extra_is_imported():
         if not re.search(rf"^\s*(import|from)\s+{re.escape(module)}\b", sources, re.MULTILINE):
             unused.append(req)
     assert not unused, f"pyproject.toml's test extra names {unused}, which nothing under tests/ or perfbench/ imports"
+
+
+@pytest.mark.parametrize("module", ["numerics", "prompt_codec"])
+def test_every_private_helper_is_used(module):
+    """Each module-level private function or class is referenced in its module outside its own definition."""
+    tree = ast.parse((PYPROJECT.parent / "src" / "promptstream" / f"{module}.py").read_text())
+    defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name.startswith("_")]
+    assert defs
+    unused = []
+    for d in defs:
+        inside = {id(n) for n in ast.walk(d)}
+        if not any(isinstance(n, ast.Name) and n.id == d.name and id(n) not in inside for n in ast.walk(tree)):
+            unused.append(d.name)
+    assert not unused, f"{module}.py defines {unused}, which nothing else in it uses"
