@@ -75,9 +75,8 @@
  * the numpy forms' order, with the same bytes, in one pass over memory:
  *   silu          neg_abs_f32:  e = minimum(x, -x); then numpy's exp(e);
  *                 silu_f32:     e = x * (maximum(e, [x >= 0]) / (e + 1)).
- *   group_norm    numpy's mu, the mean of each group's row;
- *                 group_sq_dev_f32: out = (x - mu)^2; then numpy's mean of
- *                 each row and r = 1/sqrt(var + eps);
+ *   group_norm    numpy's mu, the mean of each group's row, out = (x - mu)^2,
+ *                 the mean of each row and r = 1/sqrt(var + eps);
  *                 group_norm_f32: out = ((x - mu) * r) * gamma[c] + beta[c].
  *   softmax_last  sub_rowmax_f32: out = x - max(row), for rows of at least
  *                 LANES (16) entries; then numpy's exp, row sums and division.
@@ -92,10 +91,11 @@
  * vectors, not by operand: in a float32 product of 17 to 31 entries (numpy
  * 2.4, AVX-512), the first 16 give a's NaN and the others b's, and a row's
  * max is not always the row's first NaN.  So a pass whose operands hold a
- * NaN (x, mu, gamma or beta) declines, and the op runs its numpy form.
- * Without a NaN operand, the NaNs the steps make are the host's default NaN
- * (inf - inf, 0 * inf), the same in C and numpy, and no pass reads a NaN
- * that numpy's exp made.
+ * NaN declines, and the op runs its numpy form: x for silu and
+ * softmax_last, and mu, gamma or beta for group_norm, whose mu is NaN
+ * wherever its group of x holds one.  Without a NaN operand, the NaNs the
+ * steps make are the host's default NaN (inf - inf, 0 * inf), the same in C
+ * and numpy, r's among them, and no pass reads a NaN that numpy's exp made.
  *
  * Every entry point returns 0 once it has written its output.  A pass
  * whose operands hold a NaN, or whose softmax_last rows are shorter than
@@ -408,34 +408,17 @@ int silu_f32(const float *restrict x, float *restrict e, long n)
     return 0;
 }
 
-/* out[g, i] = (x[g, i] - mu[g])^2 over groups rows of len entries; DECLINED,
- * writing nothing, if mu holds a NaN (as it does where x does). */
-int group_sq_dev_f32(const float *restrict x, const float *restrict mu, float *restrict out, long groups, long len)
-{
-    for (long g = 0; g < groups; g++)
-        if (mu[g] != mu[g])
-            return DECLINED;
-    for (long g = 0; g < groups; g++, x += len, out += len) {
-        float m = mu[g];
-        for (long i = 0; i < len; i++) {
-            float d = x[i] - m;
-            out[i] = d * d;
-        }
-    }
-    return 0;
-}
-
 /* out[k, i] = ((x[k, i] - mu[g]) * r[g]) * gamma[k] + beta[k] for channel k of
- * group g = k / (c / groups), hw entries a channel, after group_sq_dev_f32
- * took the same mu; DECLINED, writing nothing, if gamma or beta holds a NaN. */
+ * group g = k / (c / groups), hw entries a channel; DECLINED, writing nothing,
+ * if mu, gamma or beta holds a NaN (mu does wherever x does). */
 int group_norm_f32(const float *restrict x, const float *restrict mu, const float *restrict r,
                    const float *restrict gamma, const float *restrict beta, float *restrict out,
                    long c, long hw, long groups)
 {
-    for (long k = 0; k < c; k++)
-        if (gamma[k] != gamma[k] || beta[k] != beta[k])
-            return DECLINED;
     long per = c / groups;
+    for (long k = 0; k < c; k++)
+        if (mu[k / per] != mu[k / per] || gamma[k] != gamma[k] || beta[k] != beta[k])
+            return DECLINED;
     for (long k = 0; k < c; k++, x += hw, out += hw) {
         float m = mu[k / per], s = r[k / per], ga = gamma[k], be = beta[k];
         for (long i = 0; i < hw; i++)

@@ -25,11 +25,11 @@ taps straight into the result; its numpy form, which gathers one array
 per tap, serves float64 replay and the fallback.  The float32 forwards
 of silu, group_norm and softmax_last run exactly rounded passes of the
 library around the steps numpy keeps, its exp and its sums: silu's min,
-max, add, div and mul; group_norm's centring and squaring, and then its
-scale and shift; softmax_last's row max and subtraction.  Each op writes
-one array, in place.  Their numpy forms serve float64 replay, the
-fallback, any operand that holds a NaN and a softmax_last row shorter
-than one vector.  Like the products' and the resample's, they are silent
+max, add, div and mul; group_norm's scale and shift, after numpy's
+centring, squaring and means; softmax_last's row max and subtraction.
+Each op writes one array, in place.  Their numpy forms serve float64
+replay, the fallback, any operand that holds a NaN and a softmax_last row
+shorter than one vector.  Like the products' and the resample's, they are silent
 about inf - inf, -inf * 0 and overflow, as the passes are, so an op
 warns alike with and without the library.  The kernel is built with
 -ffp-contract=off, so no multiply and add fuse into one rounding, and
@@ -96,6 +96,13 @@ def _check_upsample_factor(factor):
         raise ValueError(f"upsample factor must be an integer >= 1, got {factor!r}")
 
 
+def _check_axis(op, ax, ndim):
+    """ax as an index in [0, ndim); IndexError naming op for an axis out of range."""
+    if not -ndim <= ax < ndim:
+        raise IndexError(f"{op}: axis {ax} out of range for {ndim} dimensions")
+    return ax % ndim
+
+
 def _check_eps(op, eps, dtype):
     if not (isfinite(eps) and dtype.type(eps) > 0):
         raise ValueError(f"{op}: eps must be finite and > 0 at the operands' dtype, got {eps!r}")
@@ -121,7 +128,6 @@ STRICT_MM_ENTRIES = {
     "resample4_f32": ((F32, np.intp, F32), 4),
     "neg_abs_f32": ((F32,), 1),
     "silu_f32": ((F32,), 1),
-    "group_sq_dev_f32": ((F32, F32), 2),
     "group_norm_f32": ((F32, F32, F32, F32, F32), 3),
     "sub_rowmax_f32": ((F32,), 2),
 }
@@ -419,7 +425,7 @@ def _fwd_transpose2d(a, p):
 
 
 def _fwd_take_axis(a, p):
-    idx, n = p["idx"], a[0].shape[p["axis"]]
+    idx, n = p["idx"], a[0].shape[_check_axis("take_axis", p["axis"], a[0].ndim)]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"take_axis: index out of range [0, {n})")
     return np.take(a[0], idx, axis=p["axis"])
@@ -428,17 +434,17 @@ def _fwd_take_axis(a, p):
 def _fwd_lerp(a, p):
     if a[0].shape != a[1].shape:
         raise _shape_error("lerp", a[0].shape, a[1].shape)
+    if not (isfinite(p["wa"]) and isfinite(p["wb"])):
+        raise ValueError(f"lerp: the weights must be finite, got {p['wa']!r} and {p['wb']!r}")
     out = np.multiply(a[0], a[0].dtype.type(p["wa"]))
     out += np.multiply(a[1], a[1].dtype.type(p["wb"]))
     return out
 
 
 def _fwd_resample_cubic_axis(a, p):
-    x, ax = a[0], p["axis"]
+    x = a[0]
     _check_upsample_factor(p["factor"])
-    if not -x.ndim <= ax < x.ndim:
-        raise IndexError(f"resample_cubic_axis: axis {ax} out of range for {x.ndim} dimensions")
-    ax %= x.ndim
+    ax = _check_axis("resample_cubic_axis", p["axis"], x.ndim)
     idx, w = _catmull_rom_taps(x.shape[ax], p["factor"])
     nj = idx.shape[1]
     outer, n, inner = prod(x.shape[:ax]), x.shape[ax], prod(x.shape[ax + 1:])
@@ -470,9 +476,8 @@ def _fwd_resample_cubic_axis(a, p):
 
 def _fwd_mean_axes(a, p):
     shape, axes = a[0].shape, p["axes"]
-    for ax in axes:
-        if not -len(shape) <= ax < len(shape):
-            raise IndexError(f"mean_axes: axis {ax} out of range for {len(shape)} dimensions")
+    if len({_check_axis("mean_axes", ax, len(shape)) for ax in axes}) < len(axes):
+        raise ValueError(f"mean_axes: axes {axes} repeat an axis of {len(shape)} dimensions")
     if prod(shape[ax] for ax in axes) == 0:
         raise ValueError(f"mean_axes: axes {axes} of shape {shape} hold no entries")
     return a[0].mean(axis=axes, keepdims=True)
@@ -501,19 +506,21 @@ def _fwd_clip01(a, p):
     return np.clip(a[0], 0.0, 1.0)
 
 
-def _normalized_groups(x, groups, eps):
-    """x's groups as rows, normalized by group_norm's first five steps, and the rows' rsqrt factors."""
+def _group_stats(x, groups, eps):
+    """x's groups as rows, their means mu, (rows - mu)**2 in a new array, and the rows' rsqrt factors r."""
     xg = x.reshape(groups, -1)
-    out = xg - xg.mean(axis=1, keepdims=True)
-    r = _rsqrt((out * out).mean(axis=1, keepdims=True), eps)
-    out *= r
-    return out, r
+    mu = xg.mean(axis=1, keepdims=True)
+    sq = np.subtract(xg, mu)
+    sq *= sq
+    return xg, mu, sq, _rsqrt(sq.mean(axis=1, keepdims=True), eps)
 
 
 def _fwd_group_norm(a, p):
-    # In C, (x - mu)**2 into the output, then numpy's mean of it and the
-    # rsqrt, then the rest of the steps in one pass over the same array.
-    # Both forms are silent about inf - inf and overflow.
+    # numpy's mu, (x - mu)**2 into the one output array, its row means and
+    # the rsqrt; then ((x - mu)*r)*gamma + beta into that array, in one C
+    # pass or, where _strict_kernel leaves it to numpy (float64, no library,
+    # a NaN in mu, gamma or beta), in numpy.  Both forms are silent about
+    # inf - inf and overflow.
     x, gamma, beta = a
     if x.ndim != 3 or gamma.shape != x.shape[:1] or beta.shape != x.shape[:1]:
         raise _shape_error("group_norm", x.shape, gamma.shape, beta.shape)
@@ -523,17 +530,13 @@ def _fwd_group_norm(a, p):
     _check_eps("group_norm", p["eps"], x.dtype)
     c, h, w = x.shape
     with np.errstate(invalid="ignore", over="ignore"):
-        xg = x.reshape(groups, -1)
-        mu = xg.mean(axis=1, keepdims=True)
-        sq = _strict_kernel("group_sq_dev_f32", (xg, mu), xg.shape, *xg.shape)
-        if sq is not None:
-            r = _rsqrt(sq.mean(axis=1, keepdims=True), p["eps"])
-            out = _strict_kernel("group_norm_f32", (x, mu, r, gamma, beta), sq.reshape(x.shape), c, h * w, groups)
-            if out is not None:
-                return out
-        out = _normalized_groups(x, groups, p["eps"])[0].reshape(x.shape)
-        out *= gamma.reshape(-1, 1, 1)
-        out += beta.reshape(-1, 1, 1)
+        xg, mu, sq, r = _group_stats(x, groups, p["eps"])
+        out = sq.reshape(x.shape)
+        if _strict_kernel("group_norm_f32", (x, mu, r, gamma, beta), out, c, h * w, groups) is None:
+            np.subtract(xg, mu, out=sq)
+            sq *= r
+            out *= gamma.reshape(-1, 1, 1)
+            out += beta.reshape(-1, 1, 1)
     return out
 
 
@@ -664,7 +667,9 @@ def _vjp_group_norm(a, p, out, g, needs):
     # With x^ the normalized groups, r their rsqrt factor and d = g*gamma,
     # per group: dx = r*(d - mean(d) - x^*mean(d*x^)).
     x, gamma, beta = a
-    xhat, r = _normalized_groups(x, p["groups"], p["eps"])
+    xg, mu, xhat, r = _group_stats(x, p["groups"], p["eps"])
+    np.subtract(xg, mu, out=xhat)
+    xhat *= r
     dx = None
     if needs[0]:
         d = (g * gamma.reshape(-1, 1, 1)).reshape(xhat.shape)
@@ -887,7 +892,11 @@ def take_axis(x, idx, axis):
 
 
 def mean_axes(x, axes):
-    """Mean over the integer axes, kept as length 1; an axis out of range raises IndexError, no entries ValueError."""
+    """Mean over the integer axes, kept as length 1.
+
+    An axis out of range raises IndexError; a repeated axis, or axes that
+    hold no entries, ValueError.
+    """
     return _apply("mean_axes", (x,), axes=tuple(index_arg(ax, "mean_axes: axis") for ax in axes))
 
 
@@ -917,9 +926,11 @@ def lerp(a, b, alpha):
     computes out = a*(1-alpha), then out += b*alpha, with both weights
     rounded to float32 first, so its bytes equal those of
     add(mul(a, 1-alpha), mul(b, alpha)); it allocates the result and one
-    temporary. Exact at alpha 0 and 1. The weights are op params, so a tape
-    replays it at float64 too. Prompt interpolation uses it, and a KV
-    cache over projected keyframes would too, so both give the same bits.
+    temporary. Exact at alpha 0 and 1. A weight that is not finite (an
+    alpha that is NaN, infinite or past the float32 range) raises
+    ValueError. The weights are op params, so a tape replays it at float64
+    too. Prompt interpolation uses it, and a KV cache over projected
+    keyframes would too, so both give the same bits.
     """
     al = F32(alpha)
     return _apply("lerp", (a, b), wa=float(F32(1.0) - al), wb=float(al))
@@ -980,8 +991,13 @@ def upsample_cubic(x, factor, axes=(0, 1)):
 
 
 def upsample_nearest(x, factor, axes=(0, 1)):
-    """Nearest-neighbor upsampling by an integer factor (ValueError otherwise)."""
-    return _per_axis(x, factor, axes, lambda y, ax: take_axis(y, np.repeat(np.arange(y.shape[ax]), factor), ax))
+    """Nearest-neighbor upsampling by an integer factor (ValueError otherwise); IndexError for an axis out of range."""
+
+    def repeat(y, ax):
+        n = y.shape[_check_axis("upsample_nearest", ax, len(y.shape))]
+        return take_axis(y, np.repeat(np.arange(n), factor), ax)
+
+    return _per_axis(x, factor, axes, repeat)
 
 
 def grad(loss, leaves):

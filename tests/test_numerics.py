@@ -715,6 +715,15 @@ class TestKernelProperties:
         assert_numpy_form_bytes(nm.softmax_last, x)
 
 
+def thread_cpu_times(tids):
+    """The CPU seconds of each thread of this process by its tid: Linux's per-thread CPU clock.
+
+    Its clock id is the one pthread_getcpuclockid gives: the bits of ~tid
+    shifted left by 3, then CPUCLOCK_PERTHREAD (4) and CPUCLOCK_SCHED (2).
+    """
+    return {t: time.clock_gettime((~t << 3) | 6) for t in tids}
+
+
 class TestKernelThreads:
     """Products above SPLIT_MIN_WORK, which run on every CPU of the affinity mask, keep the loop's bytes."""
 
@@ -791,23 +800,26 @@ class TestKernelThreads:
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
                         reason="needs Linux's /proc and two CPUs in the affinity mask")
     def test_a_large_product_runs_on_more_than_one_thread(self):
-        # The product releases the interpreter lock, so this thread can list
-        # the process's threads while it runs; a helper is a thread that is
-        # new and is not the worker.
+        # The CPU time the process spent in the call, less that of every
+        # thread that was there before it, is the time of the threads the
+        # call made, whether or not they have exited: no need to catch one
+        # alive.  The process's time less the caller's is not enough, as
+        # idle BLAS threads spin.  A helper that starts late may find no task
+        # left, so the call is tried until a deadline.
         a, b = np.ones((8192, 160), np.float32), np.ones((160, 160), np.float32)
-        made = set()
-        for _ in range(20):
-            before = set(os.listdir("/proc/self/task"))
-            worker = threading.Thread(target=nm.matmul, args=(a, b))
-            worker.start()
-            while worker.is_alive():
-                made |= set(os.listdir("/proc/self/task"))
-            worker.join(timeout=60)
-            assert not worker.is_alive()
-            made -= before | {str(worker.native_id)}
-            if made:
-                break
-        assert made
+        me, deadline = threading.get_native_id(), time.monotonic() + 60
+        helpers, caller = 0.0, 1.0
+        while helpers <= caller / 4 and time.monotonic() < deadline:
+            tids = [int(t) for t in os.listdir("/proc/self/task")]
+            try:
+                before, start = thread_cpu_times(tids), time.process_time()
+                nm.matmul(a, b)
+                end, after = time.process_time(), thread_cpu_times(tids)
+            except OSError:  # a thread that was there exited
+                continue
+            caller = after[me] - before[me]
+            helpers = (end - start) - sum(after[t] - before[t] for t in tids)
+        assert helpers > caller / 4
 
 
 class TestGrad:
@@ -1398,6 +1410,9 @@ class TestSoftmaxLast:
         assert nm.softmax_last(x[:, :15]).data.tobytes() == three_array_softmax(x[:, :15]).tobytes()
 
 
+NON_FINITE_ALPHAS = [np.nan, np.inf, -np.inf]
+
+
 class TestLerp:
     @pytest.mark.parametrize("alpha", [0.0, 1 / 29, 0.3, 0.5, 28 / 29, 1.0])
     def test_bytes_equal_float32_mul_mul_add(self, alpha):
@@ -1424,6 +1439,19 @@ class TestLerp:
     def test_unequal_shapes_rejected(self, shapes):
         with pytest.raises(ShapeMismatchError, match="lerp"):
             nm.lerp(randf(*shapes[0]), randf(*shapes[1]), 0.5)
+
+    @pytest.mark.parametrize("alpha", NON_FINITE_ALPHAS)
+    def test_a_weight_that_is_not_finite_is_rejected(self, alpha):
+        # Live, and in replay, where the record holds the weights, not alpha.
+        a, b = randf(3, 4), randf(3, 4)
+        with pytest.raises(ValueError, match="^lerp: the weights must be finite"):
+            nm.lerp(a, b, alpha)
+        tape = GradTape()
+        nm.lerp(tape.leaf(a), b, 0.5)
+        tape.records[-1].params.update(wa=float(np.float32(1.0) - np.float32(alpha)), wb=float(np.float32(alpha)))
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(ValueError, match="^lerp: the weights must be finite"):
+                tape.replay(dtype=dtype)
 
 
 @st.composite
@@ -1516,6 +1544,10 @@ BAD_INPUTS = {
     "mean_axes over axis 2 of two": (nm.mean_axes, {"axes": (1,)}, (3, 4), None, {"axes": (2,)}, IndexError),
     "mean_axes over axis -3 of two": (nm.mean_axes, {"axes": (1,)}, (3, 4), None, {"axes": (0, -3)}, IndexError),
     "mean_axes over no entries": (nm.mean_axes, {"axes": (1,)}, (3, 4), np.ones((3, 0), np.float32), {}, ValueError),
+    "mean_axes over axis 1 twice": (nm.mean_axes, {"axes": (1,)}, (3, 4), None, {"axes": (1, 1)}, ValueError),
+    "mean_axes over axes 1 and -1": (nm.mean_axes, {"axes": (1,)}, (3, 4), None, {"axes": (1, -1)}, ValueError),
+    "take_axis along axis 5 of two": (nm.take_axis, {"idx": [0], "axis": 1}, (2, 3), None, {"axis": 5}, IndexError),
+    "take_axis along axis -3 of two": (nm.take_axis, {"idx": [0], "axis": 1}, (2, 3), None, {"axis": -3}, IndexError),
 }
 
 
@@ -1549,6 +1581,8 @@ def bad_calls():
         yield f"take_axis at {idx}", nm.take_axis, (r(2, 3), idx, 1), {}
     for shapes in [((3, 4), (4, 3)), ((3, 4), (1, 4)), ((3, 4), (3, 4, 1))]:
         yield f"lerp of {shapes[0]} and {shapes[1]}", nm.lerp, (r(*shapes[0]), r(*shapes[1]), 0.5), {}
+    for alpha in NON_FINITE_ALPHAS:
+        yield f"lerp at alpha {alpha}", nm.lerp, (r(3, 4), r(3, 4), alpha), {}
     for factor in [2.5, 2.0, 0, -1, True, "2"]:
         yield f"resample_cubic_axis by {factor!r}", nm.resample_cubic_axis, (r(4, 4, 3), factor, 0), {}
     for axis in [3, -4]:
@@ -1671,6 +1705,12 @@ class TestArgumentChecks:
 
 
 class TestResampling:
+    @pytest.mark.parametrize("upsample, op", [(nm.upsample_nearest, "upsample_nearest"),
+                                              (nm.upsample_cubic, "resample_cubic_axis")])
+    def test_an_axis_out_of_range_is_named(self, upsample, op):
+        with pytest.raises(IndexError, match=f"^{op}: axis 5 out of range for 2 dimensions$"):
+            upsample(randf(2, 3), 2, axes=(5,))
+
     def test_factor_one_identity(self):
         img = randf(9, 7, 3)
         out = nm.upsample_cubic(img, 1)
@@ -2049,3 +2089,25 @@ class TestGroupNorm:
         rng = np.random.default_rng(20261304)
         x, gamma, beta = randf(64, 64, 64, rng=rng), randf(64, rng=rng), randf(64, rng=rng)
         assert peak_bytes(lambda: nm.group_norm(x, gamma, beta)) <= x.nbytes + 64 * 1024
+        with pytest.MonkeyPatch.context() as mp:  # the numpy form, too
+            mp.setattr(nm, "_dll", None)
+            assert peak_bytes(lambda: nm.group_norm(x, gamma, beta)) <= x.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("nan_in", [None, 0, 1, 2], ids=["finite", "nan-x", "nan-gamma", "nan-beta"])
+    def test_one_kernel_call_is_the_one_decline_point(self, nan_in, monkeypatch):
+        # group_norm_f32 runs, or declines for a NaN in x (through mu), gamma
+        # or beta; no other entry point runs, and no C output is discarded.
+        rng = np.random.default_rng(20261306)
+        operands = [randf(8, 4, 5, rng=rng), randf(8, rng=rng), randf(8, rng=rng)]
+        if nan_in is not None:
+            operands[nan_in].reshape(-1)[3] = np.nan
+        calls, kernel = [], nm._strict_kernel
+
+        def spy(entry, *args):
+            out = kernel(entry, *args)
+            calls.append((entry, out is not None))
+            return out
+
+        monkeypatch.setattr(nm, "_strict_kernel", spy)
+        assert_numpy_form_bytes(nm.group_norm, *operands, 2)
+        assert calls == [("group_norm_f32", nan_in is None), ("group_norm_f32", False)]
