@@ -264,15 +264,13 @@ static int run_job(struct job *job)
     }
     *j = *job;
     j->refs = t;
-    pthread_attr_t attr;
-    pthread_attr_init(&attr);
-    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
     for (long i = 1; i < t; i++) {
         pthread_t tid;
-        if (pthread_create(&tid, &attr, helper, j))
+        if (pthread_create(&tid, NULL, helper, j))
             __atomic_sub_fetch(&j->refs, 1, __ATOMIC_RELAXED);  /* the others run its share */
+        else
+            pthread_detach(tid);
     }
-    pthread_attr_destroy(&attr);
     run_tasks(j, panel);
     free(panel);
     while (__atomic_load_n(&j->done, __ATOMIC_ACQUIRE) < j->tasks)

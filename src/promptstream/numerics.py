@@ -8,7 +8,9 @@ contraction axis), so two runs over the same inputs produce identical
 bytes.  grad() walks the tape in reverse to return dLoss/dLeaf.  A live
 op and replay() both run an op through its one _Op call, which gives the
 operands in C order and then runs the forward at their dtype, which checks
-them first, so an operand's layout never changes an op's bytes.
+them first, so an operand's layout never changes an op's bytes.  Each op
+is one block of this module: any helper it is the first to use, its
+forward, then its vjp; _OPS, after the last block, lists them.
 group_norm, too, is one op, with its steps in place and a closed-form vjp.
 
 The strict-order product has two implementations that give the same
@@ -37,11 +39,7 @@ never with -ffast-math, -Ofast, -funsafe-math-optimizations or
 -fassociative-math: those reorder the sum, and a library linked with
 them can switch on flush-to-zero for the whole process.  -march=native
 ties the object to the host, so it is cached per user under
-tempfile.gettempdir(), keyed by a hash of the source and the flags.  The
-source, not the flags, fixes the vector width: gcc's tuning for the
-Xeons with AVX-512 prefers 256-bit vectors, and a pragma in _strict_mm.c
-asks for 512, which only changes how many lanes run at once, not the
-bytes.
+tempfile.gettempdir(), keyed by a hash of the source and the flags.
 
 _strict_mm.c's header states how a product runs as tasks on the CPUs of
 the calling thread's affinity mask with the same bytes for any number of
@@ -109,8 +107,9 @@ def _check_eps(op, eps, dtype):
 
 
 # ---------------------------------------------------------------------------
-# forward kernels (each runs at its operands' dtype, so replay at float64,
-# which the finite-difference test oracles rely on, runs the same code)
+# ops, each a forward with its vjp under it (a forward runs at its operands'
+# dtype, so replay at float64, which the finite-difference test oracles rely
+# on, runs the same code)
 # ---------------------------------------------------------------------------
 
 STRICT_MM_SOURCE = Path(__file__).with_name("_strict_mm.c")
@@ -220,6 +219,75 @@ def _strict_kernel(entry, operands, out, *sizes):
     return None if code else out  # nonzero otherwise: _strict_mm.c's DECLINED
 
 
+class _Op:
+    __slots__ = ("forward", "vjp")
+
+    def __init__(self, forward, vjp):
+        self.forward = forward  # (arrays, params) -> array at the arrays' dtype; raises on bad operands first
+        # (arrays, params, out, g, needs) -> one cotangent per input.  needs[i]
+        # says whether input i leads to a leaf grad() was asked about; the vjps
+        # of the ops with two inputs return None for an input that does not.  A
+        # unary op's input is needed exactly when the vjp runs, so those ignore
+        # needs.  g may be a read-only broadcast view (the reductions'
+        # cotangents are): no vjp writes to it.
+        self.vjp = vjp
+
+    def __call__(self, arrays, params):
+        """Give the operands in C order, then run the forward, which checks them first: the only way an op runs."""
+        # numpy sums a C-ordered row pairwise but a strided one in sequence.
+        # Unlike np.ascontiguousarray, asarray keeps a 0-d operand 0-d.
+        arrays = [np.asarray(x, order="C") for x in arrays]
+        return self.forward(arrays, params)
+
+
+def _unbroadcast(g, shape):
+    """Sum a gradient down to the shape it was broadcast from."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, s in enumerate(shape):
+        if s == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+def _fwd_add(a, p):
+    _check_broadcast("add", a[0], a[1])
+    return a[0] + a[1]
+
+
+def _vjp_add(a, p, out, g, needs):
+    return (_unbroadcast(g, a[0].shape) if needs[0] else None,
+            _unbroadcast(g, a[1].shape) if needs[1] else None)
+
+
+def _fwd_sub(a, p):
+    _check_broadcast("sub", a[0], a[1])
+    return a[0] - a[1]
+
+
+def _vjp_sub(a, p, out, g, needs):
+    return (_unbroadcast(g, a[0].shape) if needs[0] else None,
+            _unbroadcast(-g, a[1].shape) if needs[1] else None)
+
+
+def _fwd_mul(a, p):
+    _check_broadcast("mul", a[0], a[1])
+    return a[0] * a[1]
+
+
+def _vjp_mul(a, p, out, g, needs):
+    return (_unbroadcast(g * a[1], a[0].shape) if needs[0] else None,
+            _unbroadcast(g * a[0], a[1].shape) if needs[1] else None)
+
+
+def _fwd_neg(a, p):
+    return -a[0]
+
+
+def _vjp_neg(a, p, out, g, needs):
+    return (-g,)
+
+
 def _mm_loop(a, b):
     """The numpy form of matmul's strict product: float64 replay, fallback and test reference.
 
@@ -238,6 +306,31 @@ def _mm_loop(a, b):
     return out
 
 
+def _fwd_matmul(a, p):
+    """Matrix product with strict left-to-right accumulation over k.
+
+    Each entry is +0 plus a[i,0]*b[0,j], then plus a[i,1]*b[1,j], and so
+    on to k-1, with every product and every sum rounded to the operands'
+    dtype.  The C kernel and _mm_loop follow this order, so they give the
+    same bytes; _strict_kernel picks which one runs.
+    """
+    x, y = a
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+        raise _shape_error("matmul", x.shape, y.shape)
+    (m, k), n = x.shape, y.shape[1]
+    out = _strict_kernel("strict_mm_f32", a, (m, n), m, k, n)
+    return _mm_loop(x, y) if out is None else out
+
+
+def _vjp_matmul(a, p, out, g, needs):
+    # Backward order is unconstrained; BLAS matmul is deterministic in-build.
+    # Its path depends on the strides, and a stride-0 g can give other bytes,
+    # so a broadcast g is expanded first: the bytes of a dense g.
+    g = np.ascontiguousarray(g)
+    return (np.matmul(g, a[1].T) if needs[0] else None,
+            np.matmul(a[0].T, g) if needs[1] else None)
+
+
 def _im2col(x, stride):
     """3x3 patches of a padded (C,H,W) map as a (C*9, Ho*Wo) matrix.
 
@@ -254,6 +347,41 @@ def _im2col(x, stride):
         for dx in range(3):
             cols[:, dy * 3 + dx] = xp[:, dy:dy + stride * ho:stride, dx:dx + stride * wo:stride]
     return cols.reshape(c * 9, ho * wo)
+
+
+def _fwd_conv2d(a, p):
+    x, w = a
+    if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[0] != w.shape[1]:
+        raise _shape_error("conv2d", x.shape, w.shape)
+    s = p["stride"]
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (1, 2):
+        raise ValueError(f"conv2d: stride must be the integer 1 or 2, got {s!r}")
+    if x.shape[1] % s or x.shape[2] % s:
+        raise _shape_error("conv2d(stride)", x.shape, w.shape)
+    co = w.shape[0]
+    c, h, wd = x.shape
+    out = _strict_kernel("strict_conv3x3_f32", a, (co, h // s, wd // s), c, h, wd, co, s)
+    if out is None:
+        out = _mm_loop(w.reshape(co, c * 9), _im2col(x, s)).reshape(co, h // s, wd // s)
+    return out
+
+
+def _vjp_conv2d(a, p, out, g, needs):
+    x, w = a
+    s = p["stride"]
+    co = w.shape[0]
+    c, h, wd = x.shape
+    ho, wo = h // s, wd // s
+    gf = np.ascontiguousarray(g).reshape(co, ho * wo)  # see _vjp_matmul
+    dw = np.matmul(gf, _im2col(x, s).T).reshape(w.shape) if needs[1] else None
+    if not needs[0]:
+        return None, dw
+    dcols = np.matmul(w.reshape(co, c * 9).T, gf).reshape(c, 3, 3, ho, wo)
+    dxp = np.zeros((c, h + 2, wd + 2), dtype=x.dtype)
+    for dy in range(3):
+        for dx in range(3):
+            dxp[:, dy:dy + s * ho:s, dx:dx + s * wo:s] += dcols[:, dy, dx]
+    return dxp[:, 1:h + 1, 1:wd + 1], dw
 
 
 def _sigmoid(x):
@@ -279,6 +407,98 @@ def _sigmoid(x):
     return out
 
 
+def _fwd_silu(a, p):
+    # In C, e = minimum(x, -x), then numpy's exp, then x * sigmoid in one
+    # pass: _sigmoid's steps and the product, into the one array e.  Both
+    # forms are silent about -inf * 0.
+    x = a[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = _strict_kernel("neg_abs_f32", a, x.shape, x.size)
+        if e is not None:
+            np.exp(e, out=e)
+            _strict_kernel("silu_f32", a, e, x.size)
+            return e
+        sg = _sigmoid(x)
+        return np.multiply(x, sg, out=sg)
+
+
+def _vjp_silu(a, p, out, g, needs):
+    sg = _sigmoid(a[0])
+    return (g * (sg * (1.0 + a[0] * (1.0 - sg))),)
+
+
+def _fwd_softmax_last(a, p):
+    # One array, each step in place: the bytes of exp(x - max) / sum.  In C,
+    # one pass takes each row's max and subtracts it; numpy keeps exp, the
+    # sums and the division.  Both forms are silent about inf - inf and
+    # overflow.
+    x = a[0]
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError(f"softmax_last: needs a last axis of at least one entry, got shape {x.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = _strict_kernel("sub_rowmax_f32", a, x.shape, prod(x.shape[:-1]), x.shape[-1])
+        if out is None:
+            out = np.subtract(x, x.max(axis=-1, keepdims=True))
+        np.exp(out, out=out)
+        out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _vjp_softmax_last(a, p, out, g, needs):
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return (out * (g - dot),)
+
+
+def _fwd_reshape(a, p):
+    shape = tuple(index_arg(n, "reshape: shape entry") for n in p["shape"])
+    if min(shape, default=0) < 0 or prod(shape) != a[0].size:
+        raise _shape_error("reshape", a[0].shape, shape)
+    return a[0].reshape(shape)
+
+
+def _vjp_reshape(a, p, out, g, needs):
+    return (g.reshape(a[0].shape),)
+
+
+def _fwd_transpose2d(a, p):
+    if a[0].ndim != 2:
+        raise _shape_error("transpose2d", a[0].shape)
+    return np.ascontiguousarray(a[0].T)
+
+
+def _vjp_transpose2d(a, p, out, g, needs):
+    return (np.ascontiguousarray(g.T),)
+
+
+def _fwd_take_axis(a, p):
+    idx, n = p["idx"], a[0].shape[_check_axis("take_axis", p["axis"], a[0].ndim)]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"take_axis: index out of range [0, {n})")
+    return np.take(a[0], idx, axis=p["axis"])
+
+
+def _vjp_take_axis(a, p, out, g, needs):
+    # g holds the index's axes where x holds axis ax; both go to the front.
+    idx, dx = p["idx"], np.zeros(a[0].shape, dtype=a[0].dtype)
+    ax = p["axis"] % dx.ndim
+    np.add.at(np.moveaxis(dx, ax, 0), idx, np.moveaxis(g, range(ax, ax + idx.ndim), range(idx.ndim)))
+    return (dx,)
+
+
+def _fwd_lerp(a, p):
+    if a[0].shape != a[1].shape:
+        raise _shape_error("lerp", a[0].shape, a[1].shape)
+    if not (isfinite(p["wa"]) and isfinite(p["wb"])):
+        raise ValueError(f"lerp: the weights must be finite, got {p['wa']!r} and {p['wb']!r}")
+    out = np.multiply(a[0], a[0].dtype.type(p["wa"]))
+    out += np.multiply(a[1], a[1].dtype.type(p["wb"]))
+    return out
+
+
+def _vjp_lerp(a, p, out, g, needs):
+    return g * p["wa"] if needs[0] else None, g * p["wb"] if needs[1] else None
+
+
 @lru_cache(maxsize=None)
 def _catmull_rom_taps(n, factor):
     """Clamped tap indices (4,n*f) and float32 weights for 1-D Catmull-Rom resampling.
@@ -301,144 +521,6 @@ def _catmull_rom_taps(n, factor):
     idx.setflags(write=False)
     w.setflags(write=False)
     return idx, w
-
-
-def _unbroadcast(g, shape):
-    """Sum a gradient down to the shape it was broadcast from."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-class _Op:
-    __slots__ = ("forward", "vjp")
-
-    def __init__(self, forward, vjp):
-        self.forward = forward  # (arrays, params) -> array at the arrays' dtype; raises on bad operands first
-        self.vjp = vjp          # (arrays, params, out, g, needs) -> per-input grads, None where not needed
-
-    def __call__(self, arrays, params):
-        """Give the operands in C order, then run the forward, which checks them first: the only way an op runs."""
-        # numpy sums a C-ordered row pairwise but a strided one in sequence.
-        # Unlike np.ascontiguousarray, asarray keeps a 0-d operand 0-d.
-        arrays = [np.asarray(x, order="C") for x in arrays]
-        return self.forward(arrays, params)
-
-
-def _fwd_add(a, p):
-    _check_broadcast("add", a[0], a[1])
-    return a[0] + a[1]
-
-
-def _fwd_sub(a, p):
-    _check_broadcast("sub", a[0], a[1])
-    return a[0] - a[1]
-
-
-def _fwd_mul(a, p):
-    _check_broadcast("mul", a[0], a[1])
-    return a[0] * a[1]
-
-
-def _fwd_neg(a, p):
-    return -a[0]
-
-
-def _fwd_matmul(a, p):
-    """Matrix product with strict left-to-right accumulation over k.
-
-    Each entry is +0 plus a[i,0]*b[0,j], then plus a[i,1]*b[1,j], and so
-    on to k-1, with every product and every sum rounded to the operands'
-    dtype.  The C kernel and _mm_loop follow this order, so they give the
-    same bytes; _strict_kernel picks which one runs.
-    """
-    x, y = a
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
-        raise _shape_error("matmul", x.shape, y.shape)
-    (m, k), n = x.shape, y.shape[1]
-    out = _strict_kernel("strict_mm_f32", a, (m, n), m, k, n)
-    return _mm_loop(x, y) if out is None else out
-
-
-def _fwd_conv2d(a, p):
-    x, w = a
-    if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[0] != w.shape[1]:
-        raise _shape_error("conv2d", x.shape, w.shape)
-    s = p["stride"]
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (1, 2):
-        raise ValueError(f"conv2d: stride must be the integer 1 or 2, got {s!r}")
-    if x.shape[1] % s or x.shape[2] % s:
-        raise _shape_error("conv2d(stride)", x.shape, w.shape)
-    co = w.shape[0]
-    c, h, wd = x.shape
-    out = _strict_kernel("strict_conv3x3_f32", a, (co, h // s, wd // s), c, h, wd, co, s)
-    if out is None:
-        out = _mm_loop(w.reshape(co, c * 9), _im2col(x, s)).reshape(co, h // s, wd // s)
-    return out
-
-
-def _fwd_silu(a, p):
-    # In C, e = minimum(x, -x), then numpy's exp, then x * sigmoid in one
-    # pass: _sigmoid's steps and the product, into the one array e.  Both
-    # forms are silent about -inf * 0.
-    x = a[0]
-    with np.errstate(invalid="ignore", over="ignore"):
-        e = _strict_kernel("neg_abs_f32", a, x.shape, x.size)
-        if e is not None:
-            np.exp(e, out=e)
-            _strict_kernel("silu_f32", a, e, x.size)
-            return e
-        sg = _sigmoid(x)
-        return np.multiply(x, sg, out=sg)
-
-
-def _fwd_softmax_last(a, p):
-    # One array, each step in place: the bytes of exp(x - max) / sum.  In C,
-    # one pass takes each row's max and subtracts it; numpy keeps exp, the
-    # sums and the division.  Both forms are silent about inf - inf and
-    # overflow.
-    x = a[0]
-    if x.ndim == 0 or x.shape[-1] == 0:
-        raise ValueError(f"softmax_last: needs a last axis of at least one entry, got shape {x.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = _strict_kernel("sub_rowmax_f32", a, x.shape, prod(x.shape[:-1]), x.shape[-1])
-        if out is None:
-            out = np.subtract(x, x.max(axis=-1, keepdims=True))
-        np.exp(out, out=out)
-        out /= out.sum(axis=-1, keepdims=True)
-    return out
-
-
-def _fwd_reshape(a, p):
-    if int(np.prod(p["shape"])) != a[0].size:
-        raise _shape_error("reshape", a[0].shape, p["shape"])
-    return a[0].reshape(p["shape"])
-
-
-def _fwd_transpose2d(a, p):
-    if a[0].ndim != 2:
-        raise _shape_error("transpose2d", a[0].shape)
-    return np.ascontiguousarray(a[0].T)
-
-
-def _fwd_take_axis(a, p):
-    idx, n = p["idx"], a[0].shape[_check_axis("take_axis", p["axis"], a[0].ndim)]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"take_axis: index out of range [0, {n})")
-    return np.take(a[0], idx, axis=p["axis"])
-
-
-def _fwd_lerp(a, p):
-    if a[0].shape != a[1].shape:
-        raise _shape_error("lerp", a[0].shape, a[1].shape)
-    if not (isfinite(p["wa"]) and isfinite(p["wb"])):
-        raise ValueError(f"lerp: the weights must be finite, got {p['wa']!r} and {p['wb']!r}")
-    out = np.multiply(a[0], a[0].dtype.type(p["wa"]))
-    out += np.multiply(a[1], a[1].dtype.type(p["wb"]))
-    return out
 
 
 def _fwd_resample_cubic_axis(a, p):
@@ -474,6 +556,21 @@ def _fwd_resample_cubic_axis(a, p):
     return out.reshape(out_shape)
 
 
+def _vjp_resample_cubic_axis(a, p, out, g, needs):
+    ax = p["axis"]
+    idx, w = _catmull_rom_taps(a[0].shape[ax], p["factor"])
+    wshape = [1] * g.ndim
+    wshape[ax] = -1
+    # Each tap is take_axis's vjp of g*w[k], and the taps are summed last to
+    # first, the order in which grad sums four separate take records: the
+    # bytes of the take/mul/add composite.
+    dx = None
+    for k in (3, 2, 1, 0):
+        (dk,) = _vjp_take_axis(a, {"idx": idx[k], "axis": ax}, None, g * w[k].reshape(wshape), needs)
+        dx = dk if dx is None else np.add(dx, dk, out=dx)
+    return (dx,)
+
+
 def _fwd_mean_axes(a, p):
     shape, axes = a[0].shape, p["axes"]
     if len({_check_axis("mean_axes", ax, len(shape)) for ax in axes}) < len(axes):
@@ -483,14 +580,29 @@ def _fwd_mean_axes(a, p):
     return a[0].mean(axis=axes, keepdims=True)
 
 
+# The reductions' cotangents are broadcast views: they allocate nothing.
+def _vjp_mean_axes(a, p, out, g, needs):
+    x = a[0]
+    n = prod(x.shape[ax] for ax in p["axes"])
+    return (np.broadcast_to(g / x.dtype.type(n), x.shape),)
+
+
 def _fwd_sum_all(a, p):
     return np.asarray(a[0].sum())
+
+
+def _vjp_sum_all(a, p, out, g, needs):
+    return (np.broadcast_to(g, a[0].shape),)
 
 
 def _fwd_mean_all(a, p):
     if a[0].size == 0:
         raise ValueError("mean_all: the operand is empty")
     return np.asarray(a[0].mean())
+
+
+def _vjp_mean_all(a, p, out, g, needs):
+    return (np.broadcast_to(g / a[0].dtype.type(a[0].size), a[0].shape),)
 
 
 def _rsqrt(v, eps):
@@ -502,8 +614,17 @@ def _fwd_rsqrt_eps(a, p):
     return _rsqrt(a[0], p["eps"])
 
 
+def _vjp_rsqrt_eps(a, p, out, g, needs):
+    return (g * (-0.5) * out * out * out,)
+
+
 def _fwd_clip01(a, p):
     return np.clip(a[0], 0.0, 1.0)
+
+
+def _vjp_clip01(a, p, out, g, needs):
+    x = a[0]
+    return (g * ((x > 0.0) & (x < 1.0)),)
 
 
 def _group_stats(x, groups, eps):
@@ -538,129 +659,6 @@ def _fwd_group_norm(a, p):
             out *= gamma.reshape(-1, 1, 1)
             out += beta.reshape(-1, 1, 1)
     return out
-
-
-# Each vjp returns one cotangent per input.  needs[i] says whether input i
-# leads to a leaf grad() was asked about; the vjps of the ops with two inputs
-# return None for an input that does not.  A unary op's input is needed
-# exactly when the vjp runs, so those ignore needs.  g may be a read-only
-# broadcast view (the reductions' cotangents are): no vjp writes to it.
-
-def _vjp_add(a, p, out, g, needs):
-    return (_unbroadcast(g, a[0].shape) if needs[0] else None,
-            _unbroadcast(g, a[1].shape) if needs[1] else None)
-
-
-def _vjp_sub(a, p, out, g, needs):
-    return (_unbroadcast(g, a[0].shape) if needs[0] else None,
-            _unbroadcast(-g, a[1].shape) if needs[1] else None)
-
-
-def _vjp_mul(a, p, out, g, needs):
-    return (_unbroadcast(g * a[1], a[0].shape) if needs[0] else None,
-            _unbroadcast(g * a[0], a[1].shape) if needs[1] else None)
-
-
-def _vjp_neg(a, p, out, g, needs):
-    return (-g,)
-
-
-def _vjp_matmul(a, p, out, g, needs):
-    # Backward order is unconstrained; BLAS matmul is deterministic in-build.
-    # Its path depends on the strides, and a stride-0 g can give other bytes,
-    # so a broadcast g is expanded first: the bytes of a dense g.
-    g = np.ascontiguousarray(g)
-    return (np.matmul(g, a[1].T) if needs[0] else None,
-            np.matmul(a[0].T, g) if needs[1] else None)
-
-
-def _vjp_conv2d(a, p, out, g, needs):
-    x, w = a
-    s = p["stride"]
-    co = w.shape[0]
-    c, h, wd = x.shape
-    ho, wo = h // s, wd // s
-    gf = np.ascontiguousarray(g).reshape(co, ho * wo)  # see _vjp_matmul
-    dw = np.matmul(gf, _im2col(x, s).T).reshape(w.shape) if needs[1] else None
-    if not needs[0]:
-        return None, dw
-    dcols = np.matmul(w.reshape(co, c * 9).T, gf).reshape(c, 3, 3, ho, wo)
-    dxp = np.zeros((c, h + 2, wd + 2), dtype=x.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            dxp[:, dy:dy + s * ho:s, dx:dx + s * wo:s] += dcols[:, dy, dx]
-    return dxp[:, 1:h + 1, 1:wd + 1], dw
-
-
-def _vjp_silu(a, p, out, g, needs):
-    sg = _sigmoid(a[0])
-    return (g * (sg * (1.0 + a[0] * (1.0 - sg))),)
-
-
-def _vjp_softmax_last(a, p, out, g, needs):
-    dot = (g * out).sum(axis=-1, keepdims=True)
-    return (out * (g - dot),)
-
-
-def _vjp_reshape(a, p, out, g, needs):
-    return (g.reshape(a[0].shape),)
-
-
-def _vjp_transpose2d(a, p, out, g, needs):
-    return (np.ascontiguousarray(g.T),)
-
-
-def _vjp_take_axis(a, p, out, g, needs):
-    # g holds the index's axes where x holds axis ax; both go to the front.
-    idx, dx = p["idx"], np.zeros(a[0].shape, dtype=a[0].dtype)
-    ax = p["axis"] % dx.ndim
-    np.add.at(np.moveaxis(dx, ax, 0), idx, np.moveaxis(g, range(ax, ax + idx.ndim), range(idx.ndim)))
-    return (dx,)
-
-
-def _vjp_lerp(a, p, out, g, needs):
-    return g * p["wa"] if needs[0] else None, g * p["wb"] if needs[1] else None
-
-
-def _vjp_resample_cubic_axis(a, p, out, g, needs):
-    ax = p["axis"]
-    idx, w = _catmull_rom_taps(a[0].shape[ax], p["factor"])
-    wshape = [1] * g.ndim
-    wshape[ax] = -1
-    # Each tap is take_axis's vjp of g*w[k], and the taps are summed last to
-    # first, the order in which grad sums four separate take records: the
-    # bytes of the take/mul/add composite.
-    dx = None
-    for k in (3, 2, 1, 0):
-        (dk,) = _vjp_take_axis(a, {"idx": idx[k], "axis": ax}, None, g * w[k].reshape(wshape), needs)
-        dx = dk if dx is None else np.add(dx, dk, out=dx)
-    return (dx,)
-
-
-# The reductions' cotangents are broadcast views: they allocate nothing.
-def _vjp_mean_axes(a, p, out, g, needs):
-    x = a[0]
-    n = 1
-    for ax in p["axes"]:
-        n *= x.shape[ax]
-    return (np.broadcast_to(g / x.dtype.type(n), x.shape),)
-
-
-def _vjp_sum_all(a, p, out, g, needs):
-    return (np.broadcast_to(g, a[0].shape),)
-
-
-def _vjp_mean_all(a, p, out, g, needs):
-    return (np.broadcast_to(g / a[0].dtype.type(a[0].size), a[0].shape),)
-
-
-def _vjp_rsqrt_eps(a, p, out, g, needs):
-    return (g * (-0.5) * out * out * out,)
-
-
-def _vjp_clip01(a, p, out, g, needs):
-    x = a[0]
-    return (g * ((x > 0.0) & (x < 1.0)),)
 
 
 def _vjp_group_norm(a, p, out, g, needs):
@@ -932,7 +930,10 @@ def lerp(a, b, alpha):
     too. Prompt interpolation uses it, and a KV cache over projected
     keyframes would too, so both give the same bits.
     """
-    al = F32(alpha)
+    # numpy warns as it rounds an alpha from 2**128 - 2**103 (float32's max
+    # plus half an ulp) in size to inf; such an alpha reaches the op as that inf.
+    alpha = float(alpha)
+    al = F32(alpha) if abs(alpha) < 2.0 ** 128 - 2.0 ** 103 else F32(alpha * np.inf)
     return _apply("lerp", (a, b), wa=float(F32(1.0) - al), wb=float(al))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import inf
+from math import inf, prod
 
 import numpy as np
 
@@ -183,18 +183,28 @@ def dequantize(qm: QuantizedMatrix):
     """Exact float64 reconstruction levels (c - half) * scale.
 
     quantize codes an all-zero matrix as 2^(q-1) = half + 0.5 with scale 0,
-    so every level is +0.0.
+    so every level is +0.0. qm is what arrives off the wire, so all of it is
+    checked: codes that are not integers in [0, 2^q - 1], a scale that is
+    negative or not finite, or a shape that does not hold the codes raises
+    ValueError, and a shape entry that is not an integer TypeError.
 
     The levels are not rounded to float32 here: that rounding can move a
     level past the scale/2 bound. compose rounds them once, when a
     LowRankPrompt built from them is multiplied out.
     """
     _check_q(qm.q)
+    if qm.codes.dtype.kind not in "iu":
+        raise ValueError(f"dequantize: codes must be integers, got dtype {qm.codes.dtype}")
+    if not 0.0 <= qm.scale < inf:  # a NaN fails too
+        raise ValueError(f"dequantize: scale must be finite and >= 0, got {qm.scale!r}")
+    shape = tuple(nm.index_arg(n, "dequantize: shape entry") for n in qm.shape)
+    if min(shape, default=0) < 0 or prod(shape) != qm.codes.size:
+        raise ValueError(f"dequantize: shape {shape} does not hold {qm.codes.size} codes")
     levels = (1 << qm.q) - 1
     if qm.codes.size and (qm.codes.min() < 0 or qm.codes.max() > levels):
         raise ValueError(f"dequantize: codes outside [0, {levels}] for q={qm.q}")
     vals = (qm.codes.astype(np.float64) - levels / 2.0) * qm.scale
-    return vals.reshape(qm.shape)
+    return vals.reshape(shape)
 
 
 def _check_q(q):

@@ -1410,7 +1410,8 @@ class TestSoftmaxLast:
         assert nm.softmax_last(x[:, :15]).data.tobytes() == three_array_softmax(x[:, :15]).tobytes()
 
 
-NON_FINITE_ALPHAS = [np.nan, np.inf, -np.inf]
+# The last three round to an infinite float32, as the op's weights do.
+NON_FINITE_ALPHAS = [np.nan, np.inf, -np.inf, 1e300, -1e300, 3.5e38]
 
 
 class TestLerp:
@@ -1442,13 +1443,18 @@ class TestLerp:
 
     @pytest.mark.parametrize("alpha", NON_FINITE_ALPHAS)
     def test_a_weight_that_is_not_finite_is_rejected(self, alpha):
-        # Live, and in replay, where the record holds the weights, not alpha.
+        # Live, with no numpy warning first, and in replay, where the record
+        # holds the weights, not alpha.
         a, b = randf(3, 4), randf(3, 4)
-        with pytest.raises(ValueError, match="^lerp: the weights must be finite"):
-            nm.lerp(a, b, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^lerp: the weights must be finite"):
+                nm.lerp(a, b, alpha)
         tape = GradTape()
         nm.lerp(tape.leaf(a), b, 0.5)
-        tape.records[-1].params.update(wa=float(np.float32(1.0) - np.float32(alpha)), wb=float(np.float32(alpha)))
+        with np.errstate(over="ignore"):
+            al = np.float32(alpha)
+        tape.records[-1].params.update(wa=float(np.float32(1.0) - al), wb=float(al))
         for dtype in (np.float32, np.float64):
             with pytest.raises(ValueError, match="^lerp: the weights must be finite"):
                 tape.replay(dtype=dtype)
@@ -1576,6 +1582,8 @@ def bad_calls():
     for stride in [True, 1.0, 2.0, 0, 3]:
         yield f"conv2d at stride {stride!r}", nm.conv2d, (r(2, 4, 4), r(3, 2, 3, 3)), {"stride": stride}
     yield "reshape of 12 entries to (5, 2)", nm.reshape, (r(3, 4), (5, 2)), {}
+    for shape in [(-2, -3), (2.0, 3), (True, 6)]:
+        yield f"reshape of 6 entries to {shape}", nm.reshape, (r(2, 3), shape), {}
     yield "transpose2d of three axes", nm.transpose2d, (r(2, 3, 4),), {}
     for idx in [[-1], [0, -3], [3]]:
         yield f"take_axis at {idx}", nm.take_axis, (r(2, 3), idx, 1), {}

@@ -73,3 +73,17 @@ def test_every_private_helper_is_used(module):
         if not any(isinstance(n, ast.Name) and n.id == d.name and id(n) not in inside for n in ast.walk(tree)):
             unused.append(d.name)
     assert not unused, f"{module}.py defines {unused}, which nothing else in it uses"
+
+
+def test_each_op_is_one_block():
+    """For each _OPS entry _Op(_fwd_x, _vjp_x) of numerics.py, _vjp_x is the module-level statement right after _fwd_x."""
+    tree = ast.parse((PYPROJECT.parent / "src" / "promptstream" / "numerics.py").read_text())
+    (ops,) = [n.value for n in tree.body if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["_OPS"]]
+    after = {getattr(a, "name", None): b for a, b in zip(tree.body, tree.body[1:])}
+    assert ops.values
+    apart = []
+    for entry in ops.values:
+        fwd, vjp = (arg.id for arg in entry.args)
+        if not (isinstance(after.get(fwd), ast.FunctionDef) and after[fwd].name == vjp):
+            apart.append(vjp)
+    assert not apart, f"numerics.py defines {apart} elsewhere than right after their forwards"

@@ -248,6 +248,26 @@ class TestQuantizer:
         with pytest.raises(ValueError, match="codes outside"):
             pc.dequantize(bad)
 
+    @pytest.mark.parametrize("codes", [np.array([1.5, 2.0]), np.array([True, False])], ids=["float", "bool"])
+    def test_dequantize_rejects_codes_that_are_not_integers(self, codes):
+        with pytest.raises(ValueError, match="^dequantize: codes must be integers"):
+            pc.dequantize(pc.QuantizedMatrix(12, 0.1, codes, (2,)))
+
+    @pytest.mark.parametrize("scale", [np.nan, -1.0, np.inf])
+    def test_dequantize_rejects_scale_negative_or_not_finite(self, scale):
+        with pytest.raises(ValueError, match="^dequantize: scale must be finite and >= 0"):
+            pc.dequantize(pc.QuantizedMatrix(12, scale, np.array([1, 2], np.uint32), (2,)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (-1, -3)])
+    def test_dequantize_rejects_shape_that_does_not_hold_the_codes(self, shape):
+        with pytest.raises(ValueError, match="^dequantize: shape .* does not hold 3 codes$"):
+            pc.dequantize(pc.QuantizedMatrix(12, 0.1, np.array([1, 2, 3], np.uint32), shape))
+
+    @pytest.mark.parametrize("shape", [(3.0,), (True, 3)])
+    def test_dequantize_rejects_shape_entry_that_is_not_an_integer(self, shape):
+        with pytest.raises(TypeError, match="^dequantize: shape entry must be an integer"):
+            pc.dequantize(pc.QuantizedMatrix(12, 0.1, np.array([1, 2, 3], np.uint32), shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_quantize_rejects_non_finite_entries(self, bad):
         m = np.random.default_rng(86).uniform(-1, 1, (3, 4)).astype(np.float32)
