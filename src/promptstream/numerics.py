@@ -6,12 +6,13 @@ Forward passes are bit-deterministic: reductions use a fixed summation
 order (matmul and conv accumulate strictly left-to-right over the
 contraction axis), so two runs over the same inputs produce identical
 bytes.  grad() walks the tape in reverse to return dLoss/dLeaf.  A live
-op and replay() both run an op through its one _Op call, which gives the
-operands in C order and then runs the forward at their dtype, which checks
-them first, so an operand's layout never changes an op's bytes.  Each op
-is one block of this module: any helper it is the first to use, its
-forward, then its vjp; _OPS, after the last block, lists them.
-group_norm, too, is one op, with its steps in place and a closed-form vjp.
+op and replay() both run an op through its one _Op call: the operands in
+C order, so their layout never changes an op's bytes, then the forward at
+their dtype, which first checks its operands and params, integer types
+included.  The public functions only convert a shape to a tuple, an eps
+to a float and indices to the tape's own copy.  Each op, group_norm with
+its steps and closed-form vjp too, is one block of this module: any helper
+it is the first to use, its forward, then its vjp; _OPS follows the last.
 
 The strict-order product has two implementations that give the same
 bytes.  At float32 it runs a small C kernel (_strict_mm.c), compiled with
@@ -95,15 +96,17 @@ def _check_upsample_factor(factor):
 
 
 def _check_axis(op, ax, ndim):
-    """ax as an index in [0, ndim); IndexError naming op for an axis out of range."""
+    """ax as an index in [0, ndim); TypeError or IndexError, naming op, for an axis not an integer or out of range."""
+    ax = index_arg(ax, f"{op}: axis")
     if not -ndim <= ax < ndim:
         raise IndexError(f"{op}: axis {ax} out of range for {ndim} dimensions")
     return ax % ndim
 
 
 def _check_eps(op, eps, dtype):
-    if not (isfinite(eps) and dtype.type(eps) > 0):
-        raise ValueError(f"{op}: eps must be finite and > 0 at the operands' dtype, got {eps!r}")
+    with np.errstate(over="ignore"):  # an eps past the dtype's range rounds to inf
+        if not (isfinite(dtype.type(eps)) and dtype.type(eps) > 0):
+            raise ValueError(f"{op}: eps must be finite and > 0 at the operands' dtype, got {eps!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +474,10 @@ def _vjp_transpose2d(a, p, out, g, needs):
 
 
 def _fwd_take_axis(a, p):
-    idx, n = p["idx"], a[0].shape[_check_axis("take_axis", p["axis"], a[0].ndim)]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"take_axis: index out of range [0, {n})")
-    return np.take(a[0], idx, axis=p["axis"])
+    idx, ax = p["idx"], _check_axis("take_axis", p["axis"], a[0].ndim)
+    if idx.size and (idx.min() < 0 or idx.max() >= a[0].shape[ax]):
+        raise IndexError(f"take_axis: index out of range [0, {a[0].shape[ax]})")
+    return np.take(a[0], idx, axis=ax)
 
 
 def _vjp_take_axis(a, p, out, g, needs):
@@ -645,7 +648,7 @@ def _fwd_group_norm(a, p):
     x, gamma, beta = a
     if x.ndim != 3 or gamma.shape != x.shape[:1] or beta.shape != x.shape[:1]:
         raise _shape_error("group_norm", x.shape, gamma.shape, beta.shape)
-    groups = p["groups"]
+    groups = index_arg(p["groups"], "group_norm: groups")
     if groups < 1 or x.shape[0] % groups:
         raise _shape_error("group_norm(groups)", x.shape, (groups,))
     _check_eps("group_norm", p["eps"], x.dtype)
@@ -886,7 +889,7 @@ def index_arg(value, what):
 
 
 def take_axis(x, idx, axis):
-    return _apply("take_axis", (x,), idx=_int_index(idx, "take_axis"), axis=index_arg(axis, "take_axis: axis"))
+    return _apply("take_axis", (x,), idx=_int_index(idx, "take_axis"), axis=axis)
 
 
 def mean_axes(x, axes):
@@ -895,7 +898,7 @@ def mean_axes(x, axes):
     An axis out of range raises IndexError; a repeated axis, or axes that
     hold no entries, ValueError.
     """
-    return _apply("mean_axes", (x,), axes=tuple(index_arg(ax, "mean_axes: axis") for ax in axes))
+    return _apply("mean_axes", (x,), axes=tuple(axes))
 
 
 def sum_all(x):
@@ -950,7 +953,7 @@ def group_norm(x, gamma, beta, groups=4, eps=1e-5):
     (ShapeMismatchError, TypeError); eps must be finite and > 0 once rounded
     to the operands' dtype (ValueError).
     """
-    return _apply("group_norm", (x, gamma, beta), groups=index_arg(groups, "group_norm: groups"), eps=float(eps))
+    return _apply("group_norm", (x, gamma, beta), groups=groups, eps=float(eps))
 
 
 def resample_cubic_axis(x, factor, axis):
@@ -962,7 +965,7 @@ def resample_cubic_axis(x, factor, axis):
     NaN or inf - inf made it, and the op emits no numpy RuntimeWarning. See
     upsample_cubic.
     """
-    return _apply("resample_cubic_axis", (x,), factor=factor, axis=index_arg(axis, "resample_cubic_axis: axis"))
+    return _apply("resample_cubic_axis", (x,), factor=factor, axis=axis)
 
 
 def _per_axis(x, factor, axes, resample):

@@ -118,7 +118,8 @@ class PromptGroup:
 
 
 def uniform_alphas(n):
-    """n alphas i/(n-1) from exactly 0 to exactly 1, each a float32 quotient; n must be >= 2."""
+    """n alphas i/(n-1) from exactly 0 to exactly 1, each a float32 quotient; n must be an integer >= 2."""
+    n = nm.index_arg(n, "uniform_alphas: n")
     if n < 2:
         raise ValueError(f"uniform_alphas needs n >= 2, got {n}")
     return tuple(float(np.float32(i) / np.float32(n - 1)) for i in range(n))
@@ -184,7 +185,7 @@ def dequantize(qm: QuantizedMatrix):
 
     quantize codes an all-zero matrix as 2^(q-1) = half + 0.5 with scale 0,
     so every level is +0.0. qm is what arrives off the wire, so all of it is
-    checked: codes that are not integers in [0, 2^q - 1], a scale that is
+    checked: codes not a numpy array of integers in [0, 2^q - 1], a scale
     negative or not finite, or a shape that does not hold the codes raises
     ValueError, and a shape entry that is not an integer TypeError.
 
@@ -193,8 +194,9 @@ def dequantize(qm: QuantizedMatrix):
     LowRankPrompt built from them is multiplied out.
     """
     _check_q(qm.q)
-    if qm.codes.dtype.kind not in "iu":
-        raise ValueError(f"dequantize: codes must be integers, got dtype {qm.codes.dtype}")
+    if not isinstance(qm.codes, np.ndarray) or qm.codes.dtype.kind not in "iu":
+        raise ValueError("dequantize: codes must be integers in a numpy array, "
+                         f"got {getattr(qm.codes, 'dtype', type(qm.codes))}")
     if not 0.0 <= qm.scale < inf:  # a NaN fails too
         raise ValueError(f"dequantize: scale must be finite and >= 0, got {qm.scale!r}")
     shape = tuple(nm.index_arg(n, "dequantize: shape entry") for n in qm.shape)

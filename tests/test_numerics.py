@@ -55,10 +55,6 @@ class TestMatmul:
         out = nm.matmul(a, b)
         assert np.array_equal(out.data, want)
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeMismatchError, match=r"\(5, 4\).*\(3, 2\)"):
-            nm.matmul(randf(5, 4), randf(3, 2))
-
 
 # The kernel tests draw from their own generator, so that adding or removing
 # one leaves the inputs of the tests that draw from RNG unchanged.
@@ -69,16 +65,22 @@ def krandf(*shape, lo=-1.0, hi=1.0):
     return randf(*shape, lo=lo, hi=hi, rng=KRNG)
 
 
-def loop_product(a, b):
-    """The numpy strict-order loop that the C kernel must match byte for byte."""
-    return nm._mm_loop(np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32))
+def assert_numpy_form_bytes(op, *args):
+    """op's float32 forward under the C library and with _dll = None: the same bytes, and no warning from either.
 
-
-def assert_same_bytes(a, b):
-    want = loop_product(a, b)
-    got = nm.matmul(a, b).data
+    With _dll = None, matmul and conv2d run _mm_loop, the strict-order loop
+    over k, on the operands and on _im2col's patch matrix.  Returns the
+    library's output.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = op(*args).data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nm, "_dll", None)
+            want = op(*args).data
     assert got.dtype == np.float32 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    return got
 
 
 # (m, k, n): tile multiples (4 rows by 32 columns), every row remainder, column
@@ -89,19 +91,6 @@ KERNEL_SHAPES = [
     (1, 100, 1), (1, 1, 1), (3, 1, 40), (1, 70, 130), (130, 1, 1), (13, 200, 17),
     (77, 128, 40), (512, 40, 77), (77, 8, 256),  # render and codec shapes, scaled down
 ]
-
-
-def conv_reference(x, w, stride):
-    """conv2d's bytes: the numpy strict loop over the _im2col patch matrix."""
-    co, ho, wo = w.shape[0], x.shape[1] // stride, x.shape[2] // stride
-    return loop_product(w.reshape(co, x.shape[0] * 9), nm._im2col(x, stride)).reshape(co, ho, wo)
-
-
-def assert_conv_same_bytes(x, w, stride):
-    want = conv_reference(x, w, stride)
-    got = nm.conv2d(x, w, stride=stride).data
-    assert got.dtype == np.float32 and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 # (c, co, h, w, stride) for the kernel's patch gather: panels (32 output
@@ -227,7 +216,7 @@ class TestStrictKernel:
 
     @pytest.mark.parametrize("m, k, n", KERNEL_SHAPES)
     def test_bytes_equal_numpy_loop(self, m, k, n):
-        assert_same_bytes(krandf(m, k, lo=-2.0), krandf(k, n, lo=-2.0))
+        assert_numpy_form_bytes(nm.matmul, krandf(m, k, lo=-2.0), krandf(k, n, lo=-2.0))
 
     def test_empty_contraction_gives_positive_zeros(self):
         out = nm.matmul(np.zeros((5, 0), np.float32), np.zeros((0, 37), np.float32)).data
@@ -238,16 +227,16 @@ class TestStrictKernel:
         a[2] = -0.0
         out = nm.matmul(a, krandf(40, 35, lo=0.1)).data
         assert not np.signbit(out[2]).any() and not out[2].any()
-        assert_same_bytes(a, krandf(40, 35))
+        assert_numpy_form_bytes(nm.matmul, a, krandf(40, 35))
 
     def test_transposed_and_float64_operands(self):
         a, b = krandf(45, 70), krandf(33, 45)
-        assert_same_bytes(a.T, b.T)
+        assert_numpy_form_bytes(nm.matmul, a.T, b.T)
         assert not a.T.flags.c_contiguous
         a64 = KRNG.standard_normal((9, 70))
         b64 = KRNG.standard_normal((70, 41))
-        assert_same_bytes(a64, b64)
-        assert_same_bytes(a64[::2], b64[:, ::3])
+        assert_numpy_form_bytes(nm.matmul, a64, b64)
+        assert_numpy_form_bytes(nm.matmul, a64[::2], b64[:, ::3])
 
     def test_inf_and_nan_propagate(self):
         a, b = krandf(9, 70), krandf(70, 36)
@@ -256,8 +245,7 @@ class TestStrictKernel:
         b[7, 3] = -np.inf
         b[9, 30] = np.nan
         a[4, 7] = 0.0  # 0 * -inf in row 4, column 3
-        with np.errstate(invalid="ignore"):
-            assert_same_bytes(a, b)
+        assert_numpy_form_bytes(nm.matmul, a, b)
         out = nm.matmul(a, b).data
         assert np.isnan(out[2]).all() and np.isnan(out[:, 30]).all() and np.isnan(out[4, 3])
 
@@ -266,26 +254,25 @@ class TestStrictKernel:
         a = krandf(7, 66) * np.float32(1e-20)
         b = krandf(66, 34) * np.float32(1e-20)  # products far below the normal range
         a[0, :] = tiny * np.arange(66, dtype=np.float32)
-        assert_same_bytes(a, b)
-        assert_same_bytes(a, np.ones((66, 34), np.float32))
+        assert_numpy_form_bytes(nm.matmul, a, b)
+        assert_numpy_form_bytes(nm.matmul, a, np.ones((66, 34), np.float32))
         out = nm.matmul(a, np.ones((66, 34), np.float32)).data
         assert out[0, 0] == tiny * np.float32(66 * 65 // 2)
 
     @pytest.mark.parametrize("c, co, hw, stride", [(16, 16, 16, 1), (16, 8, 16, 2), (3, 5, 6, 1)])
     def test_conv2d_bytes_equal_numpy_loop(self, c, co, hw, stride):
-        x, w = krandf(c, hw, hw), krandf(co, c, 3, 3)
-        want = loop_product(w.reshape(co, -1), nm._im2col(x, stride)).reshape(co, hw // stride, hw // stride)
-        assert nm.conv2d(x, w, stride=stride).data.tobytes() == want.tobytes()
+        assert_numpy_form_bytes(nm.conv2d, krandf(c, hw, hw), krandf(co, c, 3, 3), stride)
 
     @pytest.mark.parametrize("c, co, h, w, stride", CONV_SHAPES)
     def test_conv2d_patch_gather_bytes(self, c, co, h, w, stride):
         rng = np.random.default_rng([c, co, h, w, stride])
-        assert_conv_same_bytes(randf(c, h, w, lo=-2.0, hi=2.0, rng=rng), randf(co, c, 3, 3, rng=rng), stride)
+        x = randf(c, h, w, lo=-2.0, hi=2.0, rng=rng)
+        assert_numpy_form_bytes(nm.conv2d, x, randf(co, c, 3, 3, rng=rng), stride)
 
     def test_conv2d_forward_builds_no_patch_matrix(self, monkeypatch):
         rng = np.random.default_rng(71)
         x, w = randf(6, 10, 10, rng=rng), randf(3, 6, 3, 3, rng=rng)
-        want = conv_reference(x, w, 1)
+        want = nm._mm_loop(w.reshape(3, 6 * 9), nm._im2col(x, 1)).reshape(3, 10, 10)
 
         def no_im2col(*args):
             raise AssertionError("the float32 forward built a patch matrix")
@@ -297,7 +284,7 @@ class TestStrictKernel:
     def test_conv2d_empty_map(self, stride, hw):
         rng = np.random.default_rng(72)
         x, w = np.zeros((3, *hw), np.float32), randf(5, 3, 3, 3, rng=rng)
-        assert_conv_same_bytes(x, w, stride)
+        assert_numpy_form_bytes(nm.conv2d, x, w, stride)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_no_channels_gives_positive_zeros(self, stride):
@@ -311,7 +298,7 @@ class TestStrictKernel:
         x, w = randf(3, 8, 12, rng=rng), randf(4, 3, 3, 3, rng=rng)
         x[:, [0, -1], :] = -0.0
         x[:, :, [0, -1]] = -0.0
-        assert_conv_same_bytes(x, w, stride)
+        assert_numpy_form_bytes(nm.conv2d, x, w, stride)
         # Every product with a -0 input or the padding is a signed zero, and
         # every sum starts at +0, so an all -0 map gives +0 everywhere.
         out = nm.conv2d(np.full(x.shape, -0.0, np.float32), w, stride=stride).data
@@ -325,7 +312,7 @@ class TestStrictKernel:
         x[2, 5, 4] = np.nan
         w[3, 0, 1, 1] = -np.inf  # centre tap: -inf times each input of channel 0
         w[4, 2, 0, 0] = np.nan   # NaN times every input and the padding
-        assert_conv_same_bytes(x, w, stride)
+        assert_numpy_form_bytes(nm.conv2d, x, w, stride)
         out = nm.conv2d(x, w, stride=stride).data
         assert np.isnan(out[4]).all() and np.isinf(out[3]).any()
 
@@ -335,7 +322,7 @@ class TestStrictKernel:
         tiny = np.finfo(np.float32).smallest_subnormal
         x = randf(3, 6, 6, rng=rng) * np.float32(1e-20)
         w = randf(2, 3, 3, 3, rng=rng) * np.float32(1e-20)  # products far below the normal range
-        assert_conv_same_bytes(x, w, stride)
+        assert_numpy_form_bytes(nm.conv2d, x, w, stride)
         x = np.zeros((1, 4, 4), np.float32)
         x[0, 1, 1] = tiny
         out = nm.conv2d(x, np.ones((1, 1, 3, 3), np.float32), stride=stride).data
@@ -471,7 +458,7 @@ class TestStrictKernel:
         a, b = krandf(5, 9), krandf(9, 3)
         out = np.empty((5, 3), np.float32)
         assert lib.strict_mm_f32(a.ctypes.data, b.ctypes.data, out.ctypes.data, 5, 9, 3) == 0
-        assert out.tobytes() == loop_product(a, b).tobytes()
+        assert out.tobytes() == nm._mm_loop(a, b).tobytes()
 
     def test_cached_object_exports_every_entry_point(self, monkeypatch, tmp_path):
         monkeypatch.setattr(nm.tempfile, "tempdir", str(tmp_path))
@@ -486,7 +473,7 @@ class TestStrictKernel:
         x, w = randf(3, 6, 10, rng=rng), randf(5, 3, 3, 3, rng=rng)
         out = np.empty((5, 3, 5), np.float32)
         assert lib.strict_conv3x3_f32(x.ctypes.data, w.ctypes.data, out.ctypes.data, 3, 6, 10, 5, 2) == 0
-        assert out.tobytes() == conv_reference(x, w, 2).tobytes()
+        assert out.tobytes() == nm._mm_loop(w.reshape(5, 3 * 9), nm._im2col(x, 2)).reshape(5, 3, 5).tobytes()
 
     @pytest.mark.parametrize("mode", [0o770, 0o707])
     def test_a_shared_cache_directory_loads_no_kernel(self, monkeypatch, tmp_path, mode):
@@ -646,58 +633,34 @@ def softmax_rows(draw):
     return draw(elementwise_entries(shape, 30.0))
 
 
-def assert_numpy_form_bytes(op, *args):
-    """op's float32 forward under the C library and with _dll = None: the same bytes, and no warning from either."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = op(*args).data
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nm, "_dll", None)
-            want = op(*args).data
-    assert got.dtype == np.float32 and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-def assert_resample_same_bytes(x, factor, axis):
-    """The kernel's resample and the numpy form's: the same bytes, one NaN, and no warning from either."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = nm.resample_cubic_axis(x, factor, axis).data
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nm, "_dll", None)
-            want = nm.resample_cubic_axis(x, factor, axis).data
-    assert got.dtype == np.float32 and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    assert set(got.view(np.uint32)[np.isnan(got)].tolist()) <= {0x7FC00000}
-
-
 class TestKernelProperties:
-    """The C entry points against their numpy loops, byte for byte, on drawn shapes and entries."""
+    """The C entry points against their numpy forms, byte for byte, on drawn shapes and entries."""
 
     @given(small_products())
     @settings(max_examples=60, deadline=None)
     def test_matmul(self, ab):
-        assert_same_bytes(*ab)
+        assert_numpy_form_bytes(nm.matmul, *ab)
 
     @given(split_products())
     @settings(max_examples=20, deadline=None)
     def test_matmul_above_the_split_threshold(self, ab):
-        assert_same_bytes(*ab)
+        assert_numpy_form_bytes(nm.matmul, *ab)
 
     @given(small_convs())
     @settings(max_examples=60, deadline=None)
     def test_conv2d(self, xws):
-        assert_conv_same_bytes(*xws)
+        assert_numpy_form_bytes(nm.conv2d, *xws)
 
     @given(split_convs())
     @settings(max_examples=20, deadline=None)
     def test_conv2d_above_the_split_threshold(self, xws):
-        assert_conv_same_bytes(*xws)
+        assert_numpy_form_bytes(nm.conv2d, *xws)
 
     @given(resamples())
     @settings(max_examples=60, deadline=None)
     def test_resample(self, xfa):
-        assert_resample_same_bytes(*xfa)
+        got = assert_numpy_form_bytes(nm.resample_cubic_axis, *xfa)
+        assert set(got.view(np.uint32)[np.isnan(got)].tolist()) <= {0x7FC00000}  # one NaN
 
     @given(silu_operands())
     @settings(max_examples=60, deadline=None)
@@ -737,7 +700,7 @@ class TestKernelThreads:
     def test_product_split_edges(self, m, k, n):
         assert m * k * n >= SPLIT_MIN_WORK
         rng = np.random.default_rng([m, k, n])
-        assert_same_bytes(randf(m, k, lo=-2.0, hi=2.0, rng=rng), randf(k, n, rng=rng))
+        assert_numpy_form_bytes(nm.matmul, randf(m, k, lo=-2.0, hi=2.0, rng=rng), randf(k, n, rng=rng))
 
     # An odd number of 32-pixel panels (28 x 28 = 24.5 panels); the render
     # block's 3 output channels at stride 2; a full block of MC output
@@ -746,7 +709,8 @@ class TestKernelThreads:
     def test_conv2d_split_edges(self, ci, co, hw, s):
         assert co * ci * 9 * (hw // s) ** 2 >= SPLIT_MIN_WORK
         rng = np.random.default_rng([ci, co, hw, s])
-        assert_conv_same_bytes(randf(ci, hw, hw, lo=-2.0, hi=2.0, rng=rng), randf(co, ci, 3, 3, rng=rng), s)
+        x = randf(ci, hw, hw, lo=-2.0, hi=2.0, rng=rng)
+        assert_numpy_form_bytes(nm.conv2d, x, randf(co, ci, 3, 3, rng=rng), s)
 
     def test_one_cpu_gives_the_same_bytes(self, tmp_path):
         rng = np.random.default_rng(20261020)
@@ -1344,6 +1308,34 @@ class TestGradAllocation:
         assert peak <= 3 * 77 * 1024 * 4 + 64 * 1024
 
 
+# Forwards that allocate only their output, on the render's shapes: the op,
+# its operands' shapes and its other arguments.  silu writes exp(-|x|) and
+# then the result into one array, and group_norm (x - mu)**2 and then the
+# result; the resample makes no copy of x and no array per tap.  What they
+# keep per row or group (softmax_last's row maxima and sums, 16 KiB each)
+# fits in 64 KiB.
+FORWARD_ALLOCATIONS = {
+    "silu": (nm.silu, [(64, 64, 64)], ()),
+    "softmax_last": (nm.softmax_last, [(4096, 77)], ()),
+    "resample_cubic_axis": (nm.resample_cubic_axis, [(3, 512, 64)], (8, 2)),
+    "group_norm": (nm.group_norm, [(64, 64, 64), (64,), (64,)], ()),
+}
+
+
+class TestForwardAllocation:
+    # group_norm's numpy form allocates only its output too; silu's does not
+    # (_sigmoid makes two arrays).
+    @pytest.mark.parametrize("op, form", [*((op, "library") for op in FORWARD_ALLOCATIONS), ("group_norm", "numpy")])
+    def test_forward_allocates_the_output_alone(self, op, form, monkeypatch):
+        fn, shapes, params = FORWARD_ALLOCATIONS[op]
+        rng = np.random.default_rng(20261304)
+        args = [*(rng.standard_normal(s).astype(np.float32) for s in shapes), *params]
+        if form == "numpy":
+            monkeypatch.setattr(nm, "_dll", None)
+        out = fn(*args).data  # and the resample's taps are cached per (n, factor)
+        assert peak_bytes(lambda: fn(*args)) <= out.nbytes + 64 * 1024
+
+
 def three_array_softmax(x):
     """The former softmax_last forward: the bytes the one-array form must keep."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
@@ -1369,12 +1361,6 @@ class TestSoftmaxLast:
             want = three_array_softmax(x)
             got = nm.softmax_last(x).data
         assert got.tobytes() == want.tobytes()
-
-    def test_forward_allocates_one_array(self):
-        x = np.random.default_rng(20261022).standard_normal((4096, 77)).astype(np.float32)
-        peak = peak_bytes(lambda: nm.softmax_last(x))
-        # The output, plus the row maxima and sums (16 KiB each) and change.
-        assert peak <= x.nbytes + 64 * 1024
 
     def test_a_transposed_x_keeps_numpy_bytes(self, monkeypatch):
         # A strided x runs on its C-ordered copy, and one that holds a NaN
@@ -1436,11 +1422,6 @@ class TestLerp:
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shapes", [((3, 4), (4, 3)), ((3, 4), (1, 4)), ((3, 4), (3, 4, 1))])
-    def test_unequal_shapes_rejected(self, shapes):
-        with pytest.raises(ShapeMismatchError, match="lerp"):
-            nm.lerp(randf(*shapes[0]), randf(*shapes[1]), 0.5)
-
     @pytest.mark.parametrize("alpha", NON_FINITE_ALPHAS)
     def test_a_weight_that_is_not_finite_is_rejected(self, alpha):
         # Live, with no numpy warning first, and in replay, where the record
@@ -1473,16 +1454,6 @@ def flat_gathers(draw):
 
 
 class TestGather:
-    @pytest.mark.parametrize("idx", [[-1], [0, -3], [3]])
-    def test_take_axis_rejects_index_out_of_range(self, idx):
-        with pytest.raises(IndexError, match="take_axis"):
-            nm.take_axis(randf(2, 3), idx, 1)
-
-    def test_take_axis_rejects_float_axis(self):
-        for axis in (1.7, True):
-            with pytest.raises(TypeError):
-                nm.take_axis(randf(2, 3, rng=np.random.default_rng(78)), [0], axis)
-
     @pytest.mark.parametrize("idx", [[-1], [12]])
     def test_take_flat_rejects_index_out_of_range(self, idx):
         with pytest.raises(IndexError, match="take_flat"):
@@ -1546,6 +1517,8 @@ BAD_INPUTS = {
     "rsqrt_eps at eps nan": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": np.nan}, ValueError),
     "rsqrt_eps at eps inf": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": np.inf}, ValueError),
     "rsqrt_eps at eps 1e-50": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": 1e-50}, ValueError),  # 0 as a float32
+    "rsqrt_eps at eps 1e39": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": 1e39}, ValueError),  # inf as a float32
+    "rsqrt_eps at eps 3.5e38": (nm.rsqrt_eps, {}, (3, 4), None, {"eps": 3.5e38}, ValueError),
     "mean_all of an empty x": (nm.mean_all, {}, (3, 4), np.ones((0, 4), np.float32), {}, ValueError),
     "mean_axes over axis 2 of two": (nm.mean_axes, {"axes": (1,)}, (3, 4), None, {"axes": (2,)}, IndexError),
     "mean_axes over axis -3 of two": (nm.mean_axes, {"axes": (1,)}, (3, 4), None, {"axes": (0, -3)}, IndexError),
@@ -1558,128 +1531,122 @@ BAD_INPUTS = {
 
 
 def bad_calls():
-    """Each bad input of this file that an op rejects, by name: the public function, its arguments and keywords.
+    """Each bad input that an op rejects, by name: the public function, its arguments and keywords, error and pattern.
 
-    Those of BAD_INPUTS and BAD_OVERRIDES, the shape, stride, groups and eps
-    cases of TestArgumentChecks, and the shape, index, axis and factor cases
-    of TestMatmul, TestGather, TestLerp and TestResampleCubicAxis.
+    The rows of BAD_INPUTS and BAD_OVERRIDES, then the shape, index, axis,
+    stride, weight, factor, groups and eps cases of the ops.  The public call
+    raises the error, with a message that the pattern matches, and so does
+    the op's forward alone; every op that some input can fail has a row
+    (TestArgumentChecks).
     """
     rng = np.random.default_rng(87)
 
     def r(*shape):
         return randf(*shape, lo=0.1, rng=rng)
 
-    for case, (fn, kwargs, shape, bad_x, bad_kwargs, _) in BAD_INPUTS.items():
-        yield case, fn, (r(*shape) if bad_x is None else bad_x,), {**kwargs, **bad_kwargs}
+    for case, (fn, kwargs, shape, bad_x, bad_kwargs, error) in BAD_INPUTS.items():
+        x = r(*shape) if bad_x is None else bad_x
+        yield case, fn, (x,), {**kwargs, **bad_kwargs}, error, f"^{fn.__name__}: "
     for op, (fn, shapes, which, bad) in BAD_OVERRIDES.items():
-        yield f"{op} with operand {which} of shape {bad}", fn, [r(*(bad if i == which else s))
-                                                               for i, s in enumerate(shapes)], {}
+        operands = [r(*(bad if i == which else s)) for i, s in enumerate(shapes)]
+        yield f"{op} with operand {which} of shape {bad}", fn, operands, {}, ShapeMismatchError, f"^{op}: "
     for fn in (nm.add, nm.sub, nm.mul):
-        yield f"{fn.__name__} of (3, 4) and (3,)", fn, (r(3, 4), r(3)), {}
-    yield "matmul of (5, 4) and (3, 2)", nm.matmul, (r(5, 4), r(3, 2)), {}
+        name = fn.__name__
+        yield f"{name} of (3, 4) and (3,)", fn, (r(3, 4), r(3)), {}, ShapeMismatchError, f"^{name}: incompatible shapes"
+    yield "matmul of (5, 4) and (3, 2)", nm.matmul, (r(5, 4), r(3, 2)), {}, ShapeMismatchError, r"\(5, 4\).*\(3, 2\)"
     for shape in [(2, 5, 4), (2, 4, 5)]:
-        yield f"conv2d of {shape} at stride 2", nm.conv2d, (r(*shape), r(3, 2, 3, 3)), {"stride": 2}
+        x, w = r(*shape), r(3, 2, 3, 3)
+        yield (f"conv2d of {shape} at stride 2", nm.conv2d, (x, w), {"stride": 2}, ShapeMismatchError,
+               r"conv2d\(stride\)")
+    x, w = r(2, 4, 4), r(3, 2, 3, 3)
     for stride in [True, 1.0, 2.0, 0, 3]:
-        yield f"conv2d at stride {stride!r}", nm.conv2d, (r(2, 4, 4), r(3, 2, 3, 3)), {"stride": stride}
-    yield "reshape of 12 entries to (5, 2)", nm.reshape, (r(3, 4), (5, 2)), {}
-    for shape in [(-2, -3), (2.0, 3), (True, 6)]:
-        yield f"reshape of 6 entries to {shape}", nm.reshape, (r(2, 3), shape), {}
-    yield "transpose2d of three axes", nm.transpose2d, (r(2, 3, 4),), {}
+        yield f"conv2d at stride {stride!r}", nm.conv2d, (x, w), {"stride": stride}, ValueError, "stride"
+    yield "reshape of 12 entries to (5, 2)", nm.reshape, (r(3, 4), (5, 2)), {}, ShapeMismatchError, "reshape"
+    yield "reshape of 6 entries to (-2, -3)", nm.reshape, (r(2, 3), (-2, -3)), {}, ShapeMismatchError, "^reshape: "
+    for shape in [(2.0, 3), (True, 6)]:
+        yield f"reshape of 6 entries to {shape}", nm.reshape, (r(2, 3), shape), {}, TypeError, "^reshape: shape entry"
+    yield "transpose2d of three axes", nm.transpose2d, (r(2, 3, 4),), {}, ShapeMismatchError, "transpose2d"
+    x = r(2, 3)
     for idx in [[-1], [0, -3], [3]]:
-        yield f"take_axis at {idx}", nm.take_axis, (r(2, 3), idx, 1), {}
+        yield f"take_axis at {idx}", nm.take_axis, (x, idx, 1), {}, IndexError, "take_axis"
+    for axis in [1.7, True]:
+        yield f"take_axis along axis {axis}", nm.take_axis, (x, [0], axis), {}, TypeError, "^take_axis: axis"
+    for axis in [True, 1.0]:
+        yield f"mean_axes over axis {axis}", nm.mean_axes, (r(3, 4), (axis,)), {}, TypeError, "mean_axes: axis"
     for shapes in [((3, 4), (4, 3)), ((3, 4), (1, 4)), ((3, 4), (3, 4, 1))]:
-        yield f"lerp of {shapes[0]} and {shapes[1]}", nm.lerp, (r(*shapes[0]), r(*shapes[1]), 0.5), {}
+        a, b = r(*shapes[0]), r(*shapes[1])
+        yield f"lerp of {shapes[0]} and {shapes[1]}", nm.lerp, (a, b, 0.5), {}, ShapeMismatchError, "lerp"
+    a, b = r(3, 4), r(3, 4)
     for alpha in NON_FINITE_ALPHAS:
-        yield f"lerp at alpha {alpha}", nm.lerp, (r(3, 4), r(3, 4), alpha), {}
+        yield f"lerp at alpha {alpha}", nm.lerp, (a, b, alpha), {}, ValueError, "^lerp: the weights must be finite"
+    x = r(4, 4, 3)
     for factor in [2.5, 2.0, 0, -1, True, "2"]:
-        yield f"resample_cubic_axis by {factor!r}", nm.resample_cubic_axis, (r(4, 4, 3), factor, 0), {}
-    for axis in [3, -4]:
-        yield f"resample_cubic_axis along axis {axis}", nm.resample_cubic_axis, (r(4, 4, 3), 2, axis), {}
-    for groups in [0, -2]:
-        yield f"group_norm in {groups} groups", nm.group_norm, (r(4, 3, 3), r(4), r(4)), {"groups": groups}
+        yield (f"resample_cubic_axis by {factor!r}", nm.resample_cubic_axis, (x, factor, 0), {}, ValueError,
+               "integer >= 1")
+    for axis, error in [(3, IndexError), (-4, IndexError), (1.5, TypeError), (True, TypeError)]:
+        yield (f"resample_cubic_axis along axis {axis}", nm.resample_cubic_axis, (x, 2, axis), {}, error,
+               "^resample_cubic_axis: axis")
+    operands = r(4, 3, 3), r(4), r(4)
+    for groups, error in [(0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError)]:
+        yield f"group_norm in {groups!r} groups", nm.group_norm, operands, {"groups": groups}, error, "groups"
+    for eps in [0.0, -1.0, np.inf, np.nan, 1e-50, 1e39, 3.5e38]:  # the last three round to 0 or inf as float32s
+        yield f"group_norm at eps {eps}", nm.group_norm, operands, {"groups": 2, "eps": eps}, ValueError, "eps"
     for shapes in [[(4, 9), (4,), (4,)], [(1, 4, 3, 3), (4,), (4,)], [(4, 3, 3), (3,), (4,)],
-                   [(4, 3, 3), (4,), (4, 1, 1)], [(6, 3, 3), (6,), (6,)]]:
-        yield f"group_norm of {shapes}", nm.group_norm, [r(*s) for s in shapes], {"groups": 4}
-    for eps in [0.0, -1.0, np.inf, np.nan, 1e-50]:
-        yield f"group_norm at eps {eps}", nm.group_norm, (r(4, 3, 3), r(4), r(4)), {"groups": 2, "eps": eps}
+                   [(4, 3, 3), (4,), (4, 1, 1)], [(6, 3, 3), (6,), (6,)]]:  # 4 groups do not divide 6 channels
+        operands = [r(*s) for s in shapes]
+        yield f"group_norm of {shapes}", nm.group_norm, operands, {"groups": 4}, ShapeMismatchError, "group_norm"
 
 
 BAD_CALLS = {case: call for case, *call in bad_calls()}
 
 
+def ops_reached(fn, args, kwargs):
+    """The error that fn(*args, **kwargs) raises, and each (op, arrays, params) that _Op.__call__ got first."""
+    calls, call = [], nm._Op.__call__
+
+    def recorded(op, arrays, params):
+        calls.append((op, arrays, params))
+        return call(op, arrays, params)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nm._Op, "__call__", recorded)
+        with pytest.raises(Exception) as raised:
+            fn(*args, **kwargs)
+    return raised.value, calls
+
+
 class TestArgumentChecks:
-    @pytest.mark.parametrize("op", [nm.add, nm.sub, nm.mul], ids=["add", "sub", "mul"])
-    def test_elementwise_rejects_shapes_that_do_not_broadcast(self, op):
-        rng = np.random.default_rng(94)
-        with pytest.raises(ShapeMismatchError, match=f"^{op.__name__}: incompatible shapes"):
-            op(randf(3, 4, rng=rng), randf(3, rng=rng))
+    def test_every_op_that_can_fail_has_a_bad_call(self):
+        # No input can fail neg, silu, sum_all or clip01.
+        names = {op: name for name, op in nm._OPS.items()}
+        reached = {names[op] for fn, args, kwargs, *_ in BAD_CALLS.values()
+                   for op, *_ in ops_reached(fn, args, kwargs)[1]}
+        assert reached == set(nm._OPS) - {"neg", "silu", "sum_all", "clip01"}
 
-    @pytest.mark.parametrize("shape", [(2, 5, 4), (2, 4, 5)])
-    def test_conv2d_at_stride_two_rejects_an_odd_side(self, shape):
-        rng = np.random.default_rng(95)
-        with pytest.raises(ShapeMismatchError, match=r"conv2d\(stride\)"):
-            nm.conv2d(randf(*shape, rng=rng), randf(3, 2, 3, 3, rng=rng), stride=2)
+    @pytest.mark.parametrize("case", list(BAD_CALLS))
+    def test_a_public_call_rejects_bad_input(self, case):
+        # In the op's words, with no numpy warning first.
+        fn, args, kwargs, error, pattern = BAD_CALLS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=pattern):
+                fn(*args, **kwargs)
 
-    def test_reshape_rejects_another_size(self):
-        with pytest.raises(ShapeMismatchError, match="reshape"):
-            nm.reshape(randf(3, 4, rng=np.random.default_rng(96)), (5, 2))
+    @pytest.mark.parametrize("case", list(BAD_CALLS))
+    def test_a_forward_rejects_bad_input_by_itself(self, case):
+        # The public call fails in its op; the op's forward alone, given the
+        # same operands and params, raises the same error.
+        fn, args, kwargs, *_ = BAD_CALLS[case]
+        public, ((op, arrays, params),) = ops_reached(fn, args, kwargs)
+        with pytest.raises(Exception) as alone:
+            op.forward(arrays, params)
+        assert type(alone.value) is type(public) and str(alone.value) == str(public)
 
-    def test_transpose2d_rejects_three_axes(self):
-        with pytest.raises(ShapeMismatchError, match="transpose2d"):
-            nm.transpose2d(randf(2, 3, 4, rng=np.random.default_rng(97)))
-
-    @pytest.mark.parametrize("stride", [True, 1.0, 2.0, 0, 3])
-    def test_conv2d_rejects_bad_stride(self, stride):
-        rng = np.random.default_rng(79)
-        with pytest.raises(ValueError, match="stride"):
-            nm.conv2d(randf(2, 4, 4, rng=rng), randf(3, 2, 3, 3, rng=rng), stride=stride)
-
-    def test_conv2d_accepts_numpy_integer_stride(self):
-        rng = np.random.default_rng(80)
-        x, w = randf(2, 4, 6, rng=rng), randf(3, 2, 3, 3, rng=rng)
-        out = nm.conv2d(x, w, stride=np.int64(2)).data
-        assert out.tobytes() == nm.conv2d(x, w, stride=2).data.tobytes()
-
-    @pytest.mark.parametrize("groups", [0, -2])
-    def test_group_norm_rejects_groups_below_one(self, groups):
-        rng = np.random.default_rng(81)
-        with pytest.raises(ValueError, match="groups"):
-            nm.group_norm(randf(4, 3, 3, rng=rng), randf(4, rng=rng), randf(4, rng=rng), groups=groups)
-
-    @pytest.mark.parametrize("shapes", [
-        [(4, 9), (4,), (4,)],
-        [(1, 4, 3, 3), (4,), (4,)],
-        [(4, 3, 3), (3,), (4,)],
-        [(4, 3, 3), (4,), (4, 1, 1)],
-        [(6, 3, 3), (6,), (6,)],  # 4 groups do not divide 6 channels
-    ])
-    def test_group_norm_rejects_bad_shapes(self, shapes):
-        rng = np.random.default_rng(82)
-        with pytest.raises(ShapeMismatchError, match="group_norm"):
-            nm.group_norm(*[randf(*s, rng=rng) for s in shapes], groups=4)
-
-    @pytest.mark.parametrize("groups", [True, 2.0])
-    def test_group_norm_rejects_groups_that_are_not_integers(self, groups):
-        rng = np.random.default_rng(83)
-        with pytest.raises(TypeError, match="groups"):
-            nm.group_norm(randf(4, 3, 3, rng=rng), randf(4, rng=rng), randf(4, rng=rng), groups=groups)
-
-    @pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan, 1e-50])  # 1e-50 is 0 as a float32
-    def test_group_norm_rejects_eps_not_finite_and_positive(self, eps):
-        rng = np.random.default_rng(84)
-        with pytest.raises(ValueError, match="eps"):
-            nm.group_norm(randf(4, 3, 3, rng=rng), randf(4, rng=rng), randf(4, rng=rng), groups=2, eps=eps)
-
-    @pytest.mark.parametrize("where", ["live", "replay"])
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
-    def test_ops_reject_bad_inputs_in_their_own_words(self, case, where):
+    def test_replay_rejects_bad_input_in_the_ops_own_words(self, case):
         fn, kwargs, shape, bad_x, bad_kwargs, error = BAD_INPUTS[case]
         rng = np.random.default_rng(85)
         x = randf(*shape, lo=0.1, rng=rng) if bad_x is None else bad_x
-        if where == "live":
-            with pytest.raises(error, match=f"^{fn.__name__}: "):
-                fn(x, **{**kwargs, **bad_kwargs})
-            return
         tape = GradTape()
         leaf = tape.leaf(randf(*shape, lo=0.1, rng=rng))
         fn(leaf, **kwargs)
@@ -1687,29 +1654,11 @@ class TestArgumentChecks:
         with pytest.raises(error, match=f"^{fn.__name__}: "):
             tape.replay({leaf.node: x})
 
-    @pytest.mark.parametrize("case", list(BAD_CALLS))
-    def test_a_forward_rejects_bad_input_by_itself(self, case, monkeypatch):
-        # The public call fails in its op; the op's forward alone, given the
-        # same operands and params, raises the same error.
-        fn, args, kwargs = BAD_CALLS[case]
-        calls, call = [], nm._Op.__call__
-
-        def recorded(op, arrays, params):
-            calls.append((op, arrays, params))
-            return call(op, arrays, params)
-
-        monkeypatch.setattr(nm._Op, "__call__", recorded)
-        with pytest.raises(Exception) as public:
-            fn(*args, **kwargs)
-        ((op, arrays, params),) = calls
-        with pytest.raises(Exception) as alone:
-            op.forward(arrays, params)
-        assert type(alone.value) is type(public.value) and str(alone.value) == str(public.value)
-
-    @pytest.mark.parametrize("axis", [True, 1.0])
-    def test_mean_axes_rejects_axes_that_are_not_integers(self, axis):
-        with pytest.raises(TypeError, match="mean_axes: axis"):
-            nm.mean_axes(randf(3, 4, rng=np.random.default_rng(86)), (axis,))
+    def test_conv2d_accepts_numpy_integer_stride(self):
+        rng = np.random.default_rng(80)
+        x, w = randf(2, 4, 6, rng=rng), randf(3, 2, 3, 3, rng=rng)
+        out = nm.conv2d(x, w, stride=np.int64(2)).data
+        assert out.tobytes() == nm.conv2d(x, w, stride=2).data.tobytes()
 
 
 class TestResampling:
@@ -1827,11 +1776,6 @@ class TestSilu:
         with np.errstate(invalid="ignore"):
             assert nm.silu(x).data.tobytes() == (x * two_branch_sigmoid(x)).tobytes()
 
-    def test_forward_allocates_the_output_alone(self):
-        # exp(-|x|) and then the result go into one array.
-        x = np.random.default_rng(20261025).standard_normal((64, 64, 64)).astype(np.float32)
-        assert peak_bytes(lambda: nm.silu(x)) <= x.nbytes + 64 * 1024
-
     def test_replay_bytes(self):
         for x in silu_inputs(np.float32):
             tape = GradTape()
@@ -1935,8 +1879,6 @@ class TestResampleCubicAxis:
         for fn in (nm.upsample_cubic, nm.upsample_nearest):
             with pytest.raises(ValueError, match="integer >= 1"):
                 fn(x, factor)
-        with pytest.raises(ValueError, match="integer >= 1"):
-            nm.resample_cubic_axis(x, factor, 0)
 
     def test_numpy_integer_factor_accepted(self):
         x = np.ones((2, 3), np.float32)
@@ -1944,21 +1886,16 @@ class TestResampleCubicAxis:
         assert nm.upsample_nearest(x, np.int64(2)).shape == (4, 6)
         assert nm.upsample_nearest(x, np.int64(1)) is x
 
-    @pytest.mark.parametrize("axis", [3, -4])
-    def test_axis_out_of_range_rejected(self, axis):
-        with pytest.raises(IndexError, match="resample_cubic_axis"):
-            nm.resample_cubic_axis(np.zeros((4, 4, 3), np.float32), 2, axis)
-
-    def test_float_axis_rejected(self):
+    @pytest.mark.parametrize("upsample, op", [(nm.upsample_nearest, "upsample_nearest"),
+                                              (nm.upsample_cubic, "resample_cubic_axis")])
+    def test_float_axis_rejected(self, upsample, op):
         for axis in (1.5, True):
-            with pytest.raises(TypeError):
-                nm.resample_cubic_axis(np.zeros((4, 4, 3), np.float32), 2, axis)
-            with pytest.raises(TypeError):
-                nm.upsample_cubic(np.zeros((4, 4, 3), np.float32), 2, axes=(axis,))
+            with pytest.raises(TypeError, match=f"^{op}: axis must be an integer"):
+                upsample(np.zeros((4, 4, 3), np.float32), 2, axes=(axis,))
 
 
 class TestResampleMemory:
-    """What the resample op keeps and allocates."""
+    """What the resample op keeps."""
 
     def test_cached_taps_are_read_only(self):
         # Every resample of the same n and factor reads these two arrays.
@@ -1966,13 +1903,6 @@ class TestResampleMemory:
         for taps in (idx, w):
             with pytest.raises(ValueError, match="read-only"):
                 taps[0, 0] = 9
-
-    def test_forward_allocates_the_output_alone(self):
-        # The render's last axis: no copy of the input and no array per tap.
-        x = np.random.default_rng(20261103).standard_normal((3, 512, 64)).astype(np.float32)
-        nm.resample_cubic_axis(x, 8, 2)  # the taps are cached per (n, factor)
-        peak = peak_bytes(lambda: nm.resample_cubic_axis(x, 8, 2))
-        assert peak <= 3 * 512 * 512 * 4 + 64 * 1024
 
 
 def composite_group_norm(x, gamma, beta, groups=4, eps=1e-5):
@@ -2090,16 +2020,6 @@ class TestGroupNorm:
                 x[mask] = np.inf
                 (gamma if trial % 3 == 1 else beta)[rng.random(8) < 0.3] = rng.choice(NAN_PAYLOADS)
             assert_numpy_form_bytes(nm.group_norm, x, gamma, beta, 2)
-
-    def test_forward_allocates_the_output_alone(self):
-        # The render's (64, 64, 64) map: (x - mu)**2 and then the result go into
-        # one 1 MiB array; the per-group means and factors are bytes.
-        rng = np.random.default_rng(20261304)
-        x, gamma, beta = randf(64, 64, 64, rng=rng), randf(64, rng=rng), randf(64, rng=rng)
-        assert peak_bytes(lambda: nm.group_norm(x, gamma, beta)) <= x.nbytes + 64 * 1024
-        with pytest.MonkeyPatch.context() as mp:  # the numpy form, too
-            mp.setattr(nm, "_dll", None)
-            assert peak_bytes(lambda: nm.group_norm(x, gamma, beta)) <= x.nbytes + 64 * 1024
 
     @pytest.mark.parametrize("nan_in", [None, 0, 1, 2], ids=["finite", "nan-x", "nan-gamma", "nan-beta"])
     def test_one_kernel_call_is_the_one_decline_point(self, nan_in, monkeypatch):

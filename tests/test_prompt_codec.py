@@ -248,7 +248,8 @@ class TestQuantizer:
         with pytest.raises(ValueError, match="codes outside"):
             pc.dequantize(bad)
 
-    @pytest.mark.parametrize("codes", [np.array([1.5, 2.0]), np.array([True, False])], ids=["float", "bool"])
+    @pytest.mark.parametrize("codes", [np.array([1.5, 2.0]), np.array([True, False]), [1, 2], None],
+                             ids=["float", "bool", "list", "None"])
     def test_dequantize_rejects_codes_that_are_not_integers(self, codes):
         with pytest.raises(ValueError, match="^dequantize: codes must be integers"):
             pc.dequantize(pc.QuantizedMatrix(12, 0.1, codes, (2,)))
@@ -357,8 +358,10 @@ class TestCodecIntegers:
         ("rank", lambda: pc.bitrate_estimate(1024, True, 12, 1)),
         ("group_len", lambda: pc.PromptGroup(TestCodecIntegers.KF, TestCodecIntegers.KF, 5.0)),
         ("group_len", lambda: pc.PromptGroup(TestCodecIntegers.KF, TestCodecIntegers.KF, True)),
+        ("uniform_alphas: n", lambda: pc.uniform_alphas(2.5)),
+        ("uniform_alphas: n", lambda: pc.uniform_alphas(True)),
     ], ids=["quantize-bool", "quantize-float", "dequantize-bool", "bitrate-q", "bitrate-d", "bitrate-rank",
-            "bitrate-rank-bool", "group_len-float", "group_len-bool"])
+            "bitrate-rank-bool", "group_len-float", "group_len-bool", "uniform_alphas-float", "uniform_alphas-bool"])
     def test_non_integer_rejected(self, name, call):
         with pytest.raises(TypeError, match=f"^{name} must be an integer"):
             call()
