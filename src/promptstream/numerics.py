@@ -90,9 +90,9 @@ def _check_broadcast(op, a, b):
         raise _shape_error(op, a.shape, b.shape) from None
 
 
-def _check_upsample_factor(factor):
-    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"upsample factor must be an integer >= 1, got {factor!r}")
+def _check_upsample_factor(op, factor):
+    if index_arg(factor, f"{op}: factor") < 1:
+        raise ValueError(f"{op}: factor must be an integer >= 1, got {factor!r}")
 
 
 def _check_axis(op, ax, ndim):
@@ -356,9 +356,9 @@ def _fwd_conv2d(a, p):
     x, w = a
     if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3) or x.shape[0] != w.shape[1]:
         raise _shape_error("conv2d", x.shape, w.shape)
-    s = p["stride"]
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (1, 2):
-        raise ValueError(f"conv2d: stride must be the integer 1 or 2, got {s!r}")
+    s = index_arg(p["stride"], "conv2d: stride")
+    if s not in (1, 2):
+        raise ValueError(f"conv2d: stride must be 1 or 2, got {s!r}")
     if x.shape[1] % s or x.shape[2] % s:
         raise _shape_error("conv2d(stride)", x.shape, w.shape)
     co = w.shape[0]
@@ -528,7 +528,7 @@ def _catmull_rom_taps(n, factor):
 
 def _fwd_resample_cubic_axis(a, p):
     x = a[0]
-    _check_upsample_factor(p["factor"])
+    _check_upsample_factor("resample_cubic_axis", p["factor"])
     ax = _check_axis("resample_cubic_axis", p["axis"], x.ndim)
     idx, w = _catmull_rom_taps(x.shape[ax], p["factor"])
     nj = idx.shape[1]
@@ -830,8 +830,8 @@ def conv2d(x, w, stride=1):
     The bytes are those of the strict-order product of w as a (Co, C*9)
     matrix with _im2col(x, stride).  At float32 under the C kernel, the
     kernel gathers the patches straight from x and no patch matrix is
-    built.  stride must be the integer 1 or 2 (not a bool or a float),
-    else ValueError.
+    built.  stride must be 1 or 2: TypeError for a bool, a float or
+    another type that is not an integer, ValueError for another integer.
     """
     return _apply("conv2d", (x, w), stride=stride)
 
@@ -846,7 +846,7 @@ def softmax_last(x):
 
 
 def reshape(x, shape):
-    return _apply("reshape", (x,), shape=tuple(shape))
+    return _apply("reshape", (x,), shape=tuple_arg(shape, "reshape: shape"))
 
 
 def transpose2d(x):
@@ -874,7 +874,10 @@ def take_flat(x, idx, out_shape):
     idx = _int_index(idx, "take_flat")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError("take_flat: index out of range")
-    idx = idx.reshape(out_shape)
+    try:
+        idx = idx.reshape(out_shape)
+    except ValueError:
+        raise ShapeMismatchError(f"take_flat: {idx.size} indices do not fill out_shape {out_shape!r}") from None
     return take_axis(reshape(x, (n,)), idx, 0)
 
 
@@ -888,6 +891,14 @@ def index_arg(value, what):
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def tuple_arg(value, what):
+    """value as a tuple; TypeError naming what for a value that is not a sequence (an int, say)."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise TypeError(f"{what} must be a sequence, got {value!r}") from None
+
+
 def take_axis(x, idx, axis):
     return _apply("take_axis", (x,), idx=_int_index(idx, "take_axis"), axis=axis)
 
@@ -898,7 +909,7 @@ def mean_axes(x, axes):
     An axis out of range raises IndexError; a repeated axis, or axes that
     hold no entries, ValueError.
     """
-    return _apply("mean_axes", (x,), axes=tuple(axes))
+    return _apply("mean_axes", (x,), axes=tuple_arg(axes, "mean_axes: axes"))
 
 
 def sum_all(x):
@@ -968,12 +979,12 @@ def resample_cubic_axis(x, factor, axis):
     return _apply("resample_cubic_axis", (x,), factor=factor, axis=axis)
 
 
-def _per_axis(x, factor, axes, resample):
-    """Check factor, then x = resample(x, ax) for each axis in order; factor 1 returns x itself."""
-    _check_upsample_factor(factor)
+def _per_axis(op, x, factor, axes, resample):
+    """Check factor in op's words, then x = resample(x, ax) for each axis in order; factor 1 returns x itself."""
+    _check_upsample_factor(op, factor)
     if factor == 1:
         return x
-    for ax in axes:
+    for ax in tuple_arg(axes, f"{op}: axes"):
         x = resample(x, ax)
     return x
 
@@ -989,19 +1000,19 @@ def upsample_cubic(x, factor, axes=(0, 1)):
     the cotangent times each weight back onto its tap's input sample, each
     tap in output order from zero, and sums the four as
     ((dx3 + dx2) + dx1) + dx0. factor 1 returns the input itself; a
-    factor that is not an integer >= 1 raises ValueError.
+    factor that is not an integer is a TypeError, one below 1 a ValueError.
     """
-    return _per_axis(x, factor, axes, lambda y, ax: resample_cubic_axis(y, factor, ax))
+    return _per_axis("upsample_cubic", x, factor, axes, lambda y, ax: resample_cubic_axis(y, factor, ax))
 
 
 def upsample_nearest(x, factor, axes=(0, 1)):
-    """Nearest-neighbor upsampling by an integer factor (ValueError otherwise); IndexError for an axis out of range."""
+    """Nearest-neighbor upsampling by an integer factor, checked as upsample_cubic's is; IndexError for a bad axis."""
 
     def repeat(y, ax):
         n = y.shape[_check_axis("upsample_nearest", ax, len(y.shape))]
         return take_axis(y, np.repeat(np.arange(n), factor), ax)
 
-    return _per_axis(x, factor, axes, repeat)
+    return _per_axis("upsample_nearest", x, factor, axes, repeat)
 
 
 def grad(loss, leaves):

@@ -185,9 +185,9 @@ def dequantize(qm: QuantizedMatrix):
 
     quantize codes an all-zero matrix as 2^(q-1) = half + 0.5 with scale 0,
     so every level is +0.0. qm is what arrives off the wire, so all of it is
-    checked: codes not a numpy array of integers in [0, 2^q - 1], a scale
-    negative or not finite, or a shape that does not hold the codes raises
-    ValueError, and a shape entry that is not an integer TypeError.
+    checked: codes not a numpy array of integers in [0, 2^q - 1], a shape
+    not holding them or a scale not a float32 value >= 0 raises ValueError,
+    and a shape not a sequence of integers TypeError.
 
     The levels are not rounded to float32 here: that rounding can move a
     level past the scale/2 bound. compose rounds them once, when a
@@ -197,14 +197,15 @@ def dequantize(qm: QuantizedMatrix):
     if not isinstance(qm.codes, np.ndarray) or qm.codes.dtype.kind not in "iu":
         raise ValueError("dequantize: codes must be integers in a numpy array, "
                          f"got {getattr(qm.codes, 'dtype', type(qm.codes))}")
-    if not 0.0 <= qm.scale < inf:  # a NaN fails too
-        raise ValueError(f"dequantize: scale must be finite and >= 0, got {qm.scale!r}")
-    shape = tuple(nm.index_arg(n, "dequantize: shape entry") for n in qm.shape)
+    shape = tuple(nm.index_arg(n, "dequantize: shape entry") for n in nm.tuple_arg(qm.shape, "dequantize: shape"))
     if min(shape, default=0) < 0 or prod(shape) != qm.codes.size:
         raise ValueError(f"dequantize: shape {shape} does not hold {qm.codes.size} codes")
     levels = (1 << qm.q) - 1
     if qm.codes.size and (qm.codes.min() < 0 or qm.codes.max() > levels):
         raise ValueError(f"dequantize: codes outside [0, {levels}] for q={qm.q}")
+    if not (isinstance(s := qm.scale, (int, float, np.integer, np.floating))  # a NaN fails too
+            and 0.0 <= s <= float(np.finfo(np.float32).max) and float(np.float32(s)) == s):
+        raise ValueError(f"dequantize: scale must be finite and >= 0, and a float32 value, got {s!r}")
     vals = (qm.codes.astype(np.float64) - levels / 2.0) * qm.scale
     return vals.reshape(shape)
 

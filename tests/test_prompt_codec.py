@@ -254,10 +254,18 @@ class TestQuantizer:
         with pytest.raises(ValueError, match="^dequantize: codes must be integers"):
             pc.dequantize(pc.QuantizedMatrix(12, 0.1, codes, (2,)))
 
-    @pytest.mark.parametrize("scale", [np.nan, -1.0, np.inf])
-    def test_dequantize_rejects_scale_negative_or_not_finite(self, scale):
-        with pytest.raises(ValueError, match="^dequantize: scale must be finite and >= 0"):
-            pc.dequantize(pc.QuantizedMatrix(12, scale, np.array([1, 2], np.uint32), (2,)))
+    # A scale must be a float32 value, finite and >= 0: numpy would warn of
+    # overflow at 1e308 and give infinite levels.
+    @pytest.mark.parametrize("scale", [np.nan, -1.0, np.inf, 1e308, 0.1, "0.5", 1j])
+    def test_dequantize_rejects_bad_scale(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^dequantize: scale must be finite and >= 0"):
+                pc.dequantize(pc.QuantizedMatrix(12, scale, np.array([1, 2], np.uint32), (2,)))
+
+    def test_dequantize_rejects_shape_that_is_not_a_sequence(self):
+        with pytest.raises(TypeError, match="^dequantize: shape must be a sequence, got 2$"):
+            pc.dequantize(pc.QuantizedMatrix(12, 0.1, np.array([1, 2], np.uint32), 2))
 
     @pytest.mark.parametrize("shape", [(2, 2), (-1, -3)])
     def test_dequantize_rejects_shape_that_does_not_hold_the_codes(self, shape):
