@@ -980,11 +980,10 @@ def resample_cubic_axis(x, factor, axis):
 
 
 def _per_axis(op, x, factor, axes, resample):
-    """Check factor in op's words, then x = resample(x, ax) for each axis in order; factor 1 returns x itself."""
+    """Check factor and axes in op's words, then x = resample(x, ax) for each axis in order; factor 1 returns x."""
     _check_upsample_factor(op, factor)
-    if factor == 1:
-        return x
-    for ax in tuple_arg(axes, f"{op}: axes"):
+    axes = tuple_arg(axes, f"{op}: axes")
+    for ax in axes if factor != 1 else ():
         x = resample(x, ax)
     return x
 
@@ -1006,7 +1005,7 @@ def upsample_cubic(x, factor, axes=(0, 1)):
 
 
 def upsample_nearest(x, factor, axes=(0, 1)):
-    """Nearest-neighbor upsampling by an integer factor, checked as upsample_cubic's is; IndexError for a bad axis."""
+    """Nearest upsampling, checked as upsample_cubic's; a bad axis: TypeError if not an integer, else IndexError."""
 
     def repeat(y, ax):
         n = y.shape[_check_axis("upsample_nearest", ax, len(y.shape))]

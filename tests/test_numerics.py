@@ -169,8 +169,7 @@ def no_nan(x):
 # Each entry point at lane counts n around 16 floats, where an AVX2 build of
 # the library must give the bytes of the 512-bit one: (op, *args) from
 # lane_entries e and n.  The elementwise passes run in C only on operands
-# without a NaN; 40 * 3e38 overflows, and numpy's group_norm and
-# softmax_last meet inf - inf.
+# without a NaN; 40 * 3e38 overflows.
 LANES = (1, 15, 16, 17, 31, 33, 77)
 LANE_ROWS = {
     "matmul 5x19 by 19xn": lambda e, n: (nm.matmul, e(5, 19), e(19, n)),
@@ -289,7 +288,9 @@ def kernel_cases():
             yield case, op, *args
 
 
-KERNEL_CASES = {case: row for case, *row in kernel_cases()}
+_ROWS = list(kernel_cases())
+KERNEL_CASES = {case: row for case, *row in _ROWS}
+assert len(KERNEL_CASES) == len(_ROWS), "a row id repeats, so one row hides another"
 
 
 def row_output(case):
@@ -375,12 +376,11 @@ class TestStrictKernel:
         for op, *args in KERNEL_CASES.values():
             op(*args)
         assert ran == set(nm.STRICT_MM_ENTRIES)
-        assert len(KERNEL_CASES) == len(list(kernel_cases()))  # no row id repeats, so no row hides another
         assert all(m * k * n >= SPLIT_MIN_WORK for m, k, n in SPLIT_PRODUCTS)
         assert all(co * c * 9 * (h // s) * (w // s) >= SPLIT_MIN_WORK for c, co, h, w, s in SPLIT_CONVS)
 
     # What equal bytes cannot show: both forms could flush subnormals to zero,
-    # or lose an inf or a NaN, alike.
+    # lose an inf or a NaN, or sum nothing or signed zeros to a nonzero, alike.
     def test_matmul_propagates_inf_and_nan_and_keeps_subnormals(self):
         out = row_output("matmul with inf and NaN")
         assert np.isnan(out[2]).all() and np.isnan(out[:, 30]).all() and np.isnan(out[4, 3])
@@ -393,6 +393,21 @@ class TestStrictKernel:
         out = row_output(f"conv2d with inf and NaN at stride {stride}")
         assert np.isnan(out[4]).all() and np.isinf(out[3]).any()
         assert row_output(f"conv2d of one subnormal by ones at stride {stride}")[0, 0, 0] == TINY
+
+    def test_resample_propagates_inf_and_nan(self):
+        cases = [case for case in KERNEL_CASES if case.startswith("resample_cubic_axis x8 ")]
+        assert len(cases) == 4
+        for case in cases:
+            out = row_output(case)
+            assert set(out.view(np.uint32)[np.isnan(out)].tolist()) == {0x7FC00000} and np.isinf(out).any(), case
+
+    def test_sums_of_nothing_or_of_signed_zeros_are_zeros(self):
+        assert np.array_equal(row_output("matmul 5x0x37"), np.zeros((5, 37)))
+        for lo in (0.1, -1.0):
+            assert not row_output(f"matmul of a -0 row by b in ({lo}, 1)")[2].any()
+        for s in (1, 2):
+            assert np.array_equal(row_output(f"conv2d 0x6x10 to 5 at stride {s}"), np.zeros((5, 6 // s, 10 // s)))
+            assert not row_output(f"conv2d of an all -0 map at stride {s}").any()
 
     def test_conv2d_forward_builds_no_patch_matrix(self, monkeypatch):
         rng = np.random.default_rng(71)
@@ -1630,8 +1645,11 @@ class TestArgumentChecks:
         (nm.reshape, (12,), {}, TypeError, "^reshape: shape must be a sequence, got 12$"),
         (nm.upsample_cubic, (2,), {"axes": 1}, TypeError, "^upsample_cubic: axes must be a sequence"),
         (nm.upsample_nearest, (2,), {"axes": 1}, TypeError, "^upsample_nearest: axes must be a sequence"),
+        (nm.upsample_cubic, (1,), {"axes": 1}, TypeError, "^upsample_cubic: axes must be a sequence"),
+        (nm.upsample_nearest, (1,), {"axes": 1}, TypeError, "^upsample_nearest: axes must be a sequence"),
         (nm.take_flat, ([1, 2], (3,)), {}, ShapeMismatchError, "^take_flat: 2 indices do not fill out_shape"),
-    ], ids=["mean_axes", "reshape", "upsample_cubic", "upsample_nearest", "take_flat"])
+    ], ids=["mean_axes", "reshape", "upsample_cubic", "upsample_nearest", "upsample_cubic at factor 1",
+            "upsample_nearest at factor 1", "take_flat"])
     def test_a_wrapper_rejects_a_bad_argument_before_any_op(self, fn, args, kwargs, error, pattern):
         # These checks sit in the public function, not an op, so no bad_calls() row can hold them.
         raised, calls = ops_reached(fn, (np.ones((3, 4), np.float32), *args), kwargs)
@@ -1647,9 +1665,13 @@ class TestArgumentChecks:
 class TestResampling:
     @pytest.mark.parametrize("upsample, op", [(nm.upsample_nearest, "upsample_nearest"),
                                               (nm.upsample_cubic, "resample_cubic_axis")])
-    def test_an_axis_out_of_range_is_named(self, upsample, op):
+    def test_a_bad_axis_is_named(self, upsample, op):
+        x = randf(2, 3)
         with pytest.raises(IndexError, match=f"^{op}: axis 5 out of range for 2 dimensions$"):
-            upsample(randf(2, 3), 2, axes=(5,))
+            upsample(x, 2, axes=(5,))
+        for axis in (1.5, True):
+            with pytest.raises(TypeError, match=f"^{op}: axis must be an integer"):
+                upsample(x, 2, axes=(axis,))
 
     def test_factor_one_identity(self):
         img = randf(9, 7, 3)
@@ -1868,13 +1890,6 @@ class TestResampleCubicAxis:
         assert nm.upsample_cubic(x, np.int64(2)).shape == (4, 6)
         assert nm.upsample_nearest(x, np.int64(2)).shape == (4, 6)
         assert nm.upsample_nearest(x, np.int64(1)) is x
-
-    @pytest.mark.parametrize("upsample, op", [(nm.upsample_nearest, "upsample_nearest"),
-                                              (nm.upsample_cubic, "resample_cubic_axis")])
-    def test_float_axis_rejected(self, upsample, op):
-        for axis in (1.5, True):
-            with pytest.raises(TypeError, match=f"^{op}: axis must be an integer"):
-                upsample(np.zeros((4, 4, 3), np.float32), 2, axes=(axis,))
 
 
 class TestResampleMemory:
