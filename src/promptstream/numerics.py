@@ -979,11 +979,19 @@ def resample_cubic_axis(x, factor, axis):
     return _apply("resample_cubic_axis", (x,), factor=factor, axis=axis)
 
 
-def _per_axis(op, x, factor, axes, resample):
-    """Check factor and axes in op's words, then x = resample(x, ax) for each axis in order; factor 1 returns x."""
+def _per_axis(op, x, factor, axes, resample, axis_op):
+    """Check factor and axes in op's words, then x = resample(x, ax) for each axis in order.
+
+    Factor 1 returns x itself once each axis passes _check_axis in axis_op's
+    words, the check resample makes at any other factor.
+    """
     _check_upsample_factor(op, factor)
     axes = tuple_arg(axes, f"{op}: axes")
-    for ax in axes if factor != 1 else ():
+    if factor == 1:
+        for ax in axes:
+            _check_axis(axis_op, ax, len(np.shape(x)))
+        return x
+    for ax in axes:
         x = resample(x, ax)
     return x
 
@@ -1001,7 +1009,8 @@ def upsample_cubic(x, factor, axes=(0, 1)):
     ((dx3 + dx2) + dx1) + dx0. factor 1 returns the input itself; a
     factor that is not an integer is a TypeError, one below 1 a ValueError.
     """
-    return _per_axis("upsample_cubic", x, factor, axes, lambda y, ax: resample_cubic_axis(y, factor, ax))
+    return _per_axis("upsample_cubic", x, factor, axes, lambda y, ax: resample_cubic_axis(y, factor, ax),
+                     "resample_cubic_axis")
 
 
 def upsample_nearest(x, factor, axes=(0, 1)):
@@ -1011,7 +1020,7 @@ def upsample_nearest(x, factor, axes=(0, 1)):
         n = y.shape[_check_axis("upsample_nearest", ax, len(y.shape))]
         return take_axis(y, np.repeat(np.arange(n), factor), ax)
 
-    return _per_axis("upsample_nearest", x, factor, axes, repeat)
+    return _per_axis("upsample_nearest", x, factor, axes, repeat, "upsample_nearest")
 
 
 def grad(loss, leaves):

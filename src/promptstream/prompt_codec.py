@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import inf, prod
+from numbers import Real
 
 import numpy as np
 
@@ -22,6 +23,9 @@ DEFAULT_Q = 12
 # Widest code for which dequantize's float64 level (c - half) * scale is
 # exact: a (q+1)-bit half-integer times a 24-bit float32 scale needs q+25 bits.
 MAX_Q = 28
+# The float64 level from which rounding to float32 gives inf: halfway between
+# float32's largest value, 2^128 - 2^104, and 2^128.
+_F32_LEVEL_LIMIT = 2.0 ** 128 - 2.0 ** 103
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +51,7 @@ class LowRankPrompt:
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "V", v)
         if self.rank > min(TOKENS, self.d):
-            raise ValueError(f"rank {self.rank} exceeds min(77, d={self.d})")
+            raise ValueError(f"LowRankPrompt: rank {self.rank} exceeds min(77, d={self.d})")
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -70,8 +74,14 @@ class LowRankPrompt:
 
 
 def random_prompt(rank, d, rng) -> LowRankPrompt:
-    """Gaussian factors scaled so composed entries have roughly unit variance."""
-    s = rank ** -0.25
+    """Gaussian factors scaled so composed entries have roughly unit variance; rank 0 gives a 77x0 by 0xd prompt.
+
+    rank and d must be integers (TypeError) >= 0 (ValueError); LowRankPrompt bounds the rank by min(77, d).
+    """
+    rank, d = nm.index_arg(rank, "random_prompt: rank"), nm.index_arg(d, "random_prompt: d")
+    if min(rank, d) < 0:
+        raise ValueError(f"random_prompt: rank and d must be >= 0, got rank={rank}, d={d}")
+    s = rank ** -0.25 if rank else 1.0
     u = rng.normal(0.0, s, size=(TOKENS, rank)).astype(np.float32)
     v = rng.normal(0.0, s, size=(rank, d)).astype(np.float32)
     return LowRankPrompt(u, v)
@@ -102,26 +112,27 @@ class PromptGroup:
     def __post_init__(self):
         if self.keyframe_a.rank != self.keyframe_b.rank or self.keyframe_a.d != self.keyframe_b.d:
             raise nm.ShapeMismatchError(
-                f"PromptGroup keyframes disagree: "
+                f"PromptGroup: keyframes disagree: "
                 f"{self.keyframe_a.U.shape}x{self.keyframe_a.V.shape} vs "
                 f"{self.keyframe_b.U.shape}x{self.keyframe_b.V.shape}")
-        if nm.index_arg(self.group_len, "group_len") < 2:
-            raise ValueError(f"group_len must be >= 2, got {self.group_len}")
-        alphas = uniform_alphas(self.group_len) if self.alphas is None else tuple(float(a) for a in self.alphas)
+        if nm.index_arg(self.group_len, "PromptGroup: group_len") < 2:
+            raise ValueError(f"PromptGroup: group_len must be >= 2, got {self.group_len}")
+        alphas = uniform_alphas(self.group_len) if self.alphas is None else tuple(
+            float(_real_arg(a, "PromptGroup: an alpha")) for a in nm.tuple_arg(self.alphas, "PromptGroup: alphas"))
         object.__setattr__(self, "alphas", alphas)
         if len(self.alphas) != self.group_len:
-            raise ValueError(f"{len(self.alphas)} alphas for group_len {self.group_len}")
+            raise ValueError(f"PromptGroup: {len(self.alphas)} alphas for group_len {self.group_len}")
         if self.alphas[0] != 0.0 or self.alphas[-1] != 1.0:
-            raise ValueError("alphas must start at 0 and end at 1 (shared keyframes)")
+            raise ValueError("PromptGroup: alphas must start at 0 and end at 1 (shared keyframes)")
         if not all(a < b for a, b in zip(self.alphas, self.alphas[1:])):  # a NaN fails too
-            raise ValueError("alphas must be strictly increasing")
+            raise ValueError("PromptGroup: alphas must be strictly increasing")
 
 
 def uniform_alphas(n):
     """n alphas i/(n-1) from exactly 0 to exactly 1, each a float32 quotient; n must be an integer >= 2."""
     n = nm.index_arg(n, "uniform_alphas: n")
     if n < 2:
-        raise ValueError(f"uniform_alphas needs n >= 2, got {n}")
+        raise ValueError(f"uniform_alphas: needs n >= 2, got {n}")
     return tuple(float(np.float32(i) / np.float32(n - 1)) for i in range(n))
 
 
@@ -134,9 +145,9 @@ def interpolate(group: PromptGroup, i: int):
     the cache. i must be an integer (a numpy integer too, not a bool or a
     float): TypeError otherwise.
     """
-    i = nm.index_arg(i, "frame index")
+    i = nm.index_arg(i, "interpolate: frame index")
     if not 0 <= i < group.group_len:
-        raise IndexError(f"frame index {i} outside group of length {group.group_len}")
+        raise IndexError(f"interpolate: frame index {i} outside group of length {group.group_len}")
     return nm.lerp(group.keyframe_a.matrix, group.keyframe_b.matrix, group.alphas[i]).data
 
 
@@ -156,11 +167,14 @@ def quantize(m, q=DEFAULT_Q) -> QuantizedMatrix:
     Every entry of the float32-cast matrix lies within scale/2 of its
     dequantized level. q must be an integer (TypeError for a bool or a
     float) in [1, MAX_Q], and the float32 scale must be finite and
-    positive: a ValueError names a matrix whose max|m| makes it round to 0
-    or overflow.
+    positive, with a top level (2^q - 1)/2 * scale that rounds to a finite
+    float32, as dequantize requires: a ValueError names a matrix whose
+    max|m| breaks that rule.  An entry past the float32 range rounds to inf
+    with no numpy warning, and is rejected as non-finite.
     """
-    q = _check_q(q)
-    m = np.asarray(m, dtype=np.float32)
+    q = _check_q(q, "quantize: q")
+    with np.errstate(over="ignore"):
+        m = np.asarray(m, dtype=np.float32)
     if not np.isfinite(m).all():
         raise ValueError("quantize: matrix contains non-finite values")
     levels = (1 << q) - 1
@@ -172,8 +186,9 @@ def quantize(m, q=DEFAULT_Q) -> QuantizedMatrix:
         return QuantizedMatrix(q, 0.0, codes.reshape(-1), m.shape)
     with np.errstate(over="ignore"):
         scale = np.float32(2.0 * amax / levels)
-    if not 0.0 < scale < np.inf:
-        raise ValueError(f"quantize: max|m| = {amax:g} gives scale {scale} at q={q}; it must be finite and positive")
+    if not 0.0 < half * float(scale) < _F32_LEVEL_LIMIT:
+        raise ValueError(f"quantize: max|m| = {amax:g} gives scale {scale} at q={q}; it must be finite and positive, "
+                         "with a top level that rounds to a finite float32")
     u = m.astype(np.float64) / float(scale) + half
     codes = np.rint(u)  # rint rounds half to even
     codes = np.clip(codes, 0, levels).astype(np.uint32)
@@ -186,14 +201,15 @@ def dequantize(qm: QuantizedMatrix):
     quantize codes an all-zero matrix as 2^(q-1) = half + 0.5 with scale 0,
     so every level is +0.0. qm is what arrives off the wire, so all of it is
     checked: codes not a numpy array of integers in [0, 2^q - 1], a shape
-    not holding them or a scale not a float32 value >= 0 raises ValueError,
-    and a shape not a sequence of integers TypeError.
+    not holding them or a scale not a float32 value >= 0 whose top level
+    (2^q - 1)/2 * scale rounds to a finite float32 raises ValueError, and a
+    shape not a sequence of integers TypeError.
 
     The levels are not rounded to float32 here: that rounding can move a
     level past the scale/2 bound. compose rounds them once, when a
     LowRankPrompt built from them is multiplied out.
     """
-    _check_q(qm.q)
+    _check_q(qm.q, "dequantize: q")
     if not isinstance(qm.codes, np.ndarray) or qm.codes.dtype.kind not in "iu":
         raise ValueError("dequantize: codes must be integers in a numpy array, "
                          f"got {getattr(qm.codes, 'dtype', type(qm.codes))}")
@@ -204,18 +220,30 @@ def dequantize(qm: QuantizedMatrix):
     if qm.codes.size and (qm.codes.min() < 0 or qm.codes.max() > levels):
         raise ValueError(f"dequantize: codes outside [0, {levels}] for q={qm.q}")
     if not (isinstance(s := qm.scale, (int, float, np.integer, np.floating))  # a NaN fails too
-            and 0.0 <= s <= float(np.finfo(np.float32).max) and float(np.float32(s)) == s):
-        raise ValueError(f"dequantize: scale must be finite and >= 0, and a float32 value, got {s!r}")
+            and 0.0 <= s <= float(np.finfo(np.float32).max) and float(np.float32(s)) == s
+            and levels / 2.0 * float(s) < _F32_LEVEL_LIMIT):
+        raise ValueError(f"dequantize: scale must be finite and >= 0, a float32 value, and give a top level that "
+                         f"rounds to a finite float32 at q={qm.q}, got {s!r}")
     vals = (qm.codes.astype(np.float64) - levels / 2.0) * qm.scale
     return vals.reshape(shape)
 
 
-def _check_q(q):
-    """q as an int: TypeError for a bool or a non-integer, ValueError outside [1, MAX_Q]."""
-    q = nm.index_arg(q, "q")
+def _check_q(q, what):
+    """q as an int: TypeError for a bool or a non-integer, ValueError outside [1, MAX_Q], each naming what.
+
+    what is the caller's literal, such as "dequantize: q", so nothing is formatted unless q fails.
+    """
+    q = nm.index_arg(q, what)
     if not 1 <= q <= MAX_Q:
-        raise ValueError(f"q must lie in [1, {MAX_Q}], got {q}")
+        raise ValueError(f"{what} must lie in [1, {MAX_Q}], got {q}")
     return q
+
+
+def _real_arg(value, what):
+    """value itself; TypeError naming what for a value that is not a real number, a bool or a str included."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    return value
 
 
 def bitrate_estimate(d, rank, q, keyframes_per_second):
@@ -224,17 +252,20 @@ def bitrate_estimate(d, rank, q, keyframes_per_second):
     Container overhead is excluded. Exact when the keyframe rate is an int
     or Fraction. q must lie in [1, MAX_Q] and rank in [0, min(77, d)], the
     widths and ranks the codec itself accepts.  d, rank and q must be
-    integers (TypeError for a bool or a float), and the keyframe rate
-    finite and >= 0 (ValueError).
+    integers (TypeError for a bool or a float), and the keyframe rate a
+    real number (TypeError for a bool, a str or a complex), finite and >= 0
+    (ValueError).
     """
-    d, rank = nm.index_arg(d, "d"), nm.index_arg(rank, "rank")
+    d, rank = nm.index_arg(d, "bitrate_estimate: d"), nm.index_arg(rank, "bitrate_estimate: rank")
     if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
-    q = _check_q(q)
+        raise ValueError(f"bitrate_estimate: d must be positive, got {d}")
+    q = _check_q(q, "bitrate_estimate: q")
     if not 0 <= rank <= min(TOKENS, d):
-        raise ValueError(f"rank must lie in [0, min(77, d={d})], got {rank}")
+        raise ValueError(f"bitrate_estimate: rank must lie in [0, min(77, d={d})], got {rank}")
+    _real_arg(keyframes_per_second, "bitrate_estimate: keyframes_per_second")
     if not 0 <= keyframes_per_second < inf:  # a NaN fails too
-        raise ValueError(f"keyframes_per_second must be finite and >= 0, got {keyframes_per_second!r}")
+        raise ValueError("bitrate_estimate: keyframes_per_second must be finite and >= 0, "
+                         f"got {keyframes_per_second!r}")
     bits_per_keyframe = (TOKENS + d) * rank * q
     rate = bits_per_keyframe * keyframes_per_second
     if isinstance(rate, Fraction) and rate.denominator == 1:

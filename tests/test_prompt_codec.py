@@ -1,7 +1,10 @@
-"""Prompt codec tests: compose/interpolate oracles, quantizer bounds, bitrates."""
+"""Prompt codec tests: compose/interpolate oracles, quantizer bounds, bitrates, and every rejection."""
 
+import ast
+import traceback
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from promptstream import prompt_codec as pc
 from promptstream.numerics import ShapeMismatchError
 
 RNG = np.random.default_rng(7)
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def rand_prompt(rank=8, d=64):
@@ -38,16 +42,6 @@ class TestCompose:
                 want[i, j] = s
         assert np.array_equal(pc.compose(p), want)
 
-    def test_rank_bound_enforced(self):
-        with pytest.raises(ValueError, match="rank"):
-            pc.LowRankPrompt(np.zeros((77, 20), np.float32), np.zeros((20, 8), np.float32))
-
-    @pytest.mark.parametrize("u_shape, v_shape", [((76, 2), (2, 8)), ((77, 2), (3, 8)), ((77,), (1, 8)),
-                                                  ((77, 2), (2, 8, 1))])
-    def test_factor_shapes_enforced(self, u_shape, v_shape):
-        with pytest.raises(ShapeMismatchError, match="LowRankPrompt"):
-            pc.LowRankPrompt(np.zeros(u_shape, np.float32), np.zeros(v_shape, np.float32))
-
 
 class TestInterpolate:
     def setup_method(self):
@@ -69,58 +63,12 @@ class TestInterpolate:
             s = pc.interpolate(self.group, i) + pc.interpolate(self.group, j)
             assert np.abs(s - a).max() < 1e-5
 
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            pc.interpolate(self.group, 5)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            pc.PromptGroup(rand_prompt(), rand_prompt(), 4, alphas=(0.0, 0.7, 0.7, 1.0))
-        with pytest.raises(ValueError, match="start at 0"):
-            pc.PromptGroup(rand_prompt(), rand_prompt(), 3, alphas=(0.1, 0.5, 1.0))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            pc.PromptGroup(self.group.keyframe_a, self.group.keyframe_b, 3, alphas=(0.0, float("nan"), 1.0))
-
-    @pytest.mark.parametrize("n", [1, 0, -1])
-    def test_uniform_alphas_needs_two_frames(self, n):
-        with pytest.raises(ValueError, match="n >= 2"):
-            pc.uniform_alphas(n)
-
-    def test_mismatched_keyframes(self):
-        with pytest.raises(ShapeMismatchError):
-            pc.PromptGroup(rand_prompt(rank=4), rand_prompt(rank=8), 5)
-
-    @pytest.mark.parametrize("group_len", [1, 0, -3])
-    def test_group_len_below_two_rejected(self, group_len):
-        kf = pc.random_prompt(2, 8, np.random.default_rng(84))  # its own generator, not RNG
-        with pytest.raises(ValueError, match="group_len must be >= 2"):
-            pc.PromptGroup(kf, kf, group_len)
-
-    @pytest.mark.parametrize("alphas", [(0.0, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0)])
-    def test_alpha_count_must_equal_group_len(self, alphas):
-        kf = pc.random_prompt(2, 8, np.random.default_rng(85))
-        with pytest.raises(ValueError, match=f"{len(alphas)} alphas for group_len 3"):
-            pc.PromptGroup(kf, kf, 3, alphas=alphas)
-
 
 class TestFrameIndex:
-    """interpolate's frame index; the groups come from their own generators, not RNG."""
-
-    @staticmethod
-    def group(seed):
-        rng = np.random.default_rng(seed)
-        return pc.PromptGroup(pc.random_prompt(2, 8, rng), pc.random_prompt(2, 8, rng), group_len=5)
-
-    @pytest.mark.parametrize("i", [True, False, 1.0, 2.5])
-    def test_non_integer_index_rejected(self, i):
-        with pytest.raises(TypeError, match="frame index must be|cannot be interpreted as an integer"):
-            pc.interpolate(self.group(81), i)
-
     def test_numpy_integer_index_accepted(self):
-        group = self.group(82)
+        rng = np.random.default_rng(82)  # its own generator, not RNG
+        group = pc.PromptGroup(pc.random_prompt(2, 8, rng), pc.random_prompt(2, 8, rng), group_len=5)
         assert pc.interpolate(group, np.int64(3)).tobytes() == pc.interpolate(group, 3).tobytes()
-        with pytest.raises(IndexError):
-            pc.interpolate(group, np.int32(5))
 
 
 class TestKeyframeCache:
@@ -229,65 +177,16 @@ class TestQuantizer:
         qm = pc.quantize(m, q=6)
         assert qm.codes.max() <= 63 and qm.codes.min() >= 0
 
-    @pytest.mark.parametrize("q", [0, pc.MAX_Q + 1, 33])
-    def test_quantize_rejects_width_out_of_range(self, q):
-        with pytest.raises(ValueError, match="q must lie"):
-            pc.quantize(np.array([[-1.0, 0.0, 1.0]], np.float32), q=q)
-
-    @pytest.mark.parametrize("m,q", [([[1e-45, 0.0, -1e-45]], 12), ([[3e38, -1.0, 0.0]], 1)],
-                             ids=["scale_rounds_to_zero", "scale_overflows"])
-    def test_quantize_rejects_scale_not_finite_and_positive(self, m, q):
+    @pytest.mark.parametrize("q", [2, 12, pc.MAX_Q])
+    def test_roundtrip_at_the_float32_limit(self, q):
+        m = np.resize(np.array([F32_MAX, -F32_MAX, 1.0, 0.0], np.float32), (77, 2))
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite and positive"):
-                pc.quantize(np.array(m, np.float32), q=q)
-
-    def test_dequantize_rejects_code_above_width(self):
-        qm = pc.quantize(np.array([[-1.0, 0.0, 1.0]], np.float32), q=4)
-        bad = pc.QuantizedMatrix(qm.q, qm.scale, np.array([0, 15, 16], np.uint32), qm.shape)
-        with pytest.raises(ValueError, match="codes outside"):
-            pc.dequantize(bad)
-
-    @pytest.mark.parametrize("codes", [np.array([1.5, 2.0]), np.array([True, False]), [1, 2], None],
-                             ids=["float", "bool", "list", "None"])
-    def test_dequantize_rejects_codes_that_are_not_integers(self, codes):
-        with pytest.raises(ValueError, match="^dequantize: codes must be integers"):
-            pc.dequantize(pc.QuantizedMatrix(12, 0.1, codes, (2,)))
-
-    # A scale must be a float32 value, finite and >= 0: numpy would warn of
-    # overflow at 1e308 and give infinite levels.
-    @pytest.mark.parametrize("scale", [np.nan, -1.0, np.inf, 1e308, 0.1, "0.5", 1j])
-    def test_dequantize_rejects_bad_scale(self, scale):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^dequantize: scale must be finite and >= 0"):
-                pc.dequantize(pc.QuantizedMatrix(12, scale, np.array([1, 2], np.uint32), (2,)))
-
-    def test_dequantize_rejects_shape_that_is_not_a_sequence(self):
-        with pytest.raises(TypeError, match="^dequantize: shape must be a sequence, got 2$"):
-            pc.dequantize(pc.QuantizedMatrix(12, 0.1, np.array([1, 2], np.uint32), 2))
-
-    @pytest.mark.parametrize("shape", [(2, 2), (-1, -3)])
-    def test_dequantize_rejects_shape_that_does_not_hold_the_codes(self, shape):
-        with pytest.raises(ValueError, match="^dequantize: shape .* does not hold 3 codes$"):
-            pc.dequantize(pc.QuantizedMatrix(12, 0.1, np.array([1, 2, 3], np.uint32), shape))
-
-    @pytest.mark.parametrize("shape", [(3.0,), (True, 3)])
-    def test_dequantize_rejects_shape_entry_that_is_not_an_integer(self, shape):
-        with pytest.raises(TypeError, match="^dequantize: shape entry must be an integer"):
-            pc.dequantize(pc.QuantizedMatrix(12, 0.1, np.array([1, 2, 3], np.uint32), shape))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_quantize_rejects_non_finite_entries(self, bad):
-        m = np.random.default_rng(86).uniform(-1, 1, (3, 4)).astype(np.float32)
-        m[1, 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            pc.quantize(m)
-
-    def test_dequantize_rejects_width_out_of_range(self):
-        qm = pc.QuantizedMatrix(pc.MAX_Q + 1, 1.0, np.zeros(3, np.uint32), (1, 3))
-        with pytest.raises(ValueError, match="q must lie"):
-            pc.dequantize(qm)
+            warnings.simplefilter("error")  # no overflow: the top level rounds to a finite float32
+            qm = pc.quantize(m, q)
+            out = pc.dequantize(qm)
+            got = pc.compose(pc.LowRankPrompt(out, np.eye(2)))
+        assert np.abs(out - m).max() <= qm.scale / 2
+        assert got.tobytes() == out.astype(np.float32).tobytes()
 
     @given(st.integers(1, 8), st.integers(0, 2 ** 31))
     @settings(max_examples=20, deadline=None)
@@ -320,27 +219,6 @@ class TestBitrate:
         r = pc.bitrate_estimate(1024, 1, 12, Fraction(3, 2))
         assert r == 19818 and isinstance(r, int)
 
-    @pytest.mark.parametrize("q", [0, pc.MAX_Q + 1, 33])
-    def test_rejects_q_out_of_range(self, q):
-        with pytest.raises(ValueError, match="q must lie"):
-            pc.bitrate_estimate(1024, 1, q, 1)
-
-    @pytest.mark.parametrize("d, rank", [(1024, 78), (1024, 100), (16, 17), (1024, -1)])
-    def test_rejects_rank_out_of_range(self, d, rank):
-        with pytest.raises(ValueError, match="rank"):
-            pc.bitrate_estimate(d, rank, 12, 1)
-
-    @pytest.mark.parametrize("d", [0, -64])
-    def test_rejects_width_not_positive(self, d):
-        with pytest.raises(ValueError, match="d must be positive"):
-            pc.bitrate_estimate(d, 0, 12, 1)
-
-    @pytest.mark.parametrize("rate", [-1, -0.5, Fraction(-1, 2), float("nan"), float("inf"), -float("inf")],
-                             ids=["-1", "-0.5", "-1/2", "nan", "inf", "-inf"])
-    def test_rejects_keyframe_rate_negative_or_not_finite(self, rate):
-        with pytest.raises(ValueError, match="keyframes_per_second must be finite and >= 0"):
-            pc.bitrate_estimate(1024, 8, 12, rate)
-
     def test_zero_keyframe_rate_is_zero_bits(self):
         assert pc.bitrate_estimate(1024, 8, 12, 0) == 0
         assert pc.bitrate_estimate(1024, 8, 12, Fraction(0)) == 0
@@ -350,30 +228,151 @@ class TestBitrate:
         assert pc.bitrate_estimate(16, 16, 1, 1) == (77 + 16) * 16
 
 
-class TestCodecIntegers:
-    """The codec's integer arguments go through nm.index_arg: a bool or a float is a TypeError naming it."""
+class TestCodecArguments:
+    """Integer arguments go through nm.index_arg, and a keyframe rate or an alpha must be a real number."""
 
     M = np.array([[-1.0, 0.0, 1.0]], np.float32)
-    KF = pc.random_prompt(2, 8, np.random.default_rng(83))  # its own generator, not RNG
-
-    @pytest.mark.parametrize("name, call", [
-        ("q", lambda: pc.quantize(TestCodecIntegers.M, q=True)),
-        ("q", lambda: pc.quantize(TestCodecIntegers.M, q=12.0)),
-        ("q", lambda: pc.dequantize(pc.QuantizedMatrix(True, 1.0, np.zeros(3, np.uint32), (1, 3)))),
-        ("q", lambda: pc.bitrate_estimate(1024, 8, 12.5, 1)),
-        ("d", lambda: pc.bitrate_estimate(1024.5, 8, 12, 1)),
-        ("rank", lambda: pc.bitrate_estimate(1024, 8.5, 12, 1)),
-        ("rank", lambda: pc.bitrate_estimate(1024, True, 12, 1)),
-        ("group_len", lambda: pc.PromptGroup(TestCodecIntegers.KF, TestCodecIntegers.KF, 5.0)),
-        ("group_len", lambda: pc.PromptGroup(TestCodecIntegers.KF, TestCodecIntegers.KF, True)),
-        ("uniform_alphas: n", lambda: pc.uniform_alphas(2.5)),
-        ("uniform_alphas: n", lambda: pc.uniform_alphas(True)),
-    ], ids=["quantize-bool", "quantize-float", "dequantize-bool", "bitrate-q", "bitrate-d", "bitrate-rank",
-            "bitrate-rank-bool", "group_len-float", "group_len-bool", "uniform_alphas-float", "uniform_alphas-bool"])
-    def test_non_integer_rejected(self, name, call):
-        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
-            call()
 
     def test_numpy_integers_accepted(self):
         assert pc.bitrate_estimate(np.int64(1024), np.int32(8), np.uint8(12), 1) == 105696
         assert pc.quantize(self.M, q=np.int64(4)).codes.tolist() == pc.quantize(self.M, q=4).codes.tolist()
+
+    def test_numpy_reals_and_fractions_accepted(self):
+        assert pc.bitrate_estimate(1024, 8, 12, np.int64(2)) == 4 * pc.bitrate_estimate(1024, 8, 12, np.float32(0.5))
+        kf = pc.random_prompt(2, 8, np.random.default_rng(83))
+        assert pc.PromptGroup(kf, kf, 3, alphas=(0, Fraction(1, 2), np.float32(1))).alphas == (0.0, 0.5, 1.0)
+
+    def test_rank_zero_random_prompt(self):
+        p = pc.random_prompt(0, 8, np.random.default_rng(84))
+        assert p.U.shape == (77, 0) and p.V.shape == (0, 8) and pc.compose(p).tobytes() == bytes(77 * 8 * 4)
+
+
+def bad_codec_calls():
+    """Each bad input the codec rejects, by name: the call, its arguments and keywords, error and anchored pattern."""
+    rng = np.random.default_rng(88)  # the rows' own generator, not RNG
+    kf, kf2 = pc.random_prompt(2, 8, rng), pc.random_prompt(2, 8, rng)
+    group, m = pc.PromptGroup(kf, kf2, 5), np.array([[-1.0, 0.0, 1.0]], np.float32)
+
+    def row(fn, case, args, error, message, kwargs={}, name=None):  # anchored at the rejecter, fn unless named
+        return f"{fn.__name__} {case}", fn, args, kwargs, error, f"^{name or fn.__name__}: {message}"
+
+    def qmat(q=12, scale=0.1, codes=np.array([1, 2, 3], np.uint32), shape=(3,)):
+        return (pc.QuantizedMatrix(q, scale, codes, shape),)
+
+    for u, v in [((76, 2), (2, 8)), ((77, 2), (3, 8)), ((77,), (1, 8)), ((77, 2), (2, 8, 1))]:
+        yield row(pc.LowRankPrompt, f"of U {u}, V {v}", (np.zeros(u), np.zeros(v)), ShapeMismatchError, "U .* vs V ")
+    for fn, args in [(pc.LowRankPrompt, (np.zeros((77, 20)), np.zeros((20, 8)))), (pc.random_prompt, (20, 8, rng))]:
+        yield row(fn, "of rank 20 at d 8", args, ValueError, r"rank 20 exceeds min\(77, d=8\)$", name="LowRankPrompt")
+    for rank, d in [(-1, 8), (2, -8)]:
+        yield row(pc.random_prompt, f"of rank {rank} at d {d}", (rank, d, rng), ValueError,
+                  f"rank and d must be >= 0, got rank={rank}, d={d}$")
+    for name, rank, d in [("rank", 2.0, 8), ("rank", True, 8), ("d", 2, 8.0), ("d", 2, None)]:
+        yield row(pc.random_prompt, f"of {rank!r}, {d!r}", (rank, d, rng), TypeError, f"{name} must be an integer")
+
+    for name, other in [("rank", pc.random_prompt(4, 8, rng)), ("d", pc.random_prompt(2, 16, rng))]:
+        yield row(pc.PromptGroup, f"of keyframes of two {name}s", (kf, other, 5), ShapeMismatchError,
+                  r"keyframes disagree: \(77, 2\)x\(2, 8\) vs ")
+    for n, error, rule in [(1, ValueError, ">= 2, got 1$"), (0, ValueError, ">= 2, got 0$"),
+                           (-3, ValueError, ">= 2, got -3$"), (5.0, TypeError, "an integer"),
+                           (True, TypeError, "an integer")]:
+        yield row(pc.PromptGroup, f"of length {n!r}", (kf, kf2, n), error, f"group_len must be {rule}")
+    ends, rises = r"alphas must start at 0 and end at 1 \(shared keyframes\)$", "alphas must be strictly increasing$"
+    for n, alphas, message in [(3, (0.0, 1.0), "2 alphas for group_len 3$"), (3, (0, 0.25, 0.5, 0.75, 1), "5 alphas "
+                               "for group_len 3$"), (3, (0.1, 0.5, 1.0), ends), (3, (0.0, 0.5, 0.9), ends),
+                               (4, (0.0, 0.7, 0.7, 1.0), rises), (3, (0.0, np.nan, 1.0), rises)]:
+        yield row(pc.PromptGroup, f"of length {n} at {alphas}", (kf, kf2, n), ValueError, message, {"alphas": alphas})
+    for alphas in [("0", "0.5", "1"), (False, True, True), (0.0, None, 1.0), (0.0, 0.5j, 1.0), (0.0, np.True_, 1.0)]:
+        yield row(pc.PromptGroup, f"at {alphas}", (kf, kf2, 3), TypeError, "an alpha must be a real number, got ",
+                  {"alphas": alphas})
+    yield row(pc.PromptGroup, "at 5", (kf, kf2, 3), TypeError, "alphas must be a sequence, got 5$", {"alphas": 5})
+
+    for n in [1, 0, -1]:
+        yield row(pc.uniform_alphas, f"of {n}", (n,), ValueError, f"needs n >= 2, got {n}$")
+    for n in [2.5, True]:
+        yield row(pc.uniform_alphas, f"of {n!r}", (n,), TypeError, "n must be an integer")
+    for i in [5, -1, np.int32(5)]:
+        yield row(pc.interpolate, f"at {i!r}", (group, i), IndexError, f"frame index {i} outside group of length 5$")
+    for i in [True, False, 1.0, 2.5]:
+        yield row(pc.interpolate, f"at {i!r}", (group, i), TypeError, f"frame index must be an integer, got {i!r}$")
+
+    for fn, args in [(pc.quantize, lambda q: (m, q)), (pc.dequantize, lambda q: qmat(q=q)),
+                     (pc.bitrate_estimate, lambda q: (1024, 1, q, 1))]:
+        for q in [0, pc.MAX_Q + 1, 33]:
+            yield row(fn, f"at q {q}", args(q), ValueError, rf"q must lie in \[1, {pc.MAX_Q}\], got {q}$")
+        for q in [True, 12.0, 12.5]:
+            yield row(fn, f"at q {q!r}", args(q), TypeError, f"q must be an integer, got {q!r}$")
+    for bad in [np.nan, np.inf, -np.inf]:
+        drawn = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
+        drawn[1, 2] = bad
+        yield row(pc.quantize, f"of a matrix holding {bad}", (drawn,), ValueError, "matrix contains non-finite values$")
+    yield row(pc.quantize, "of a float64 matrix holding 1e39", (np.array([[1e39, 0.0]]),), ValueError,
+              "matrix contains non-finite values$")  # inf as a float32, with no numpy warning first
+    for case, big, q in [("whose scale rounds to 0", 1e-45, 12), ("whose scale overflows", 3e38, 1),
+                         ("whose top level overflows", F32_MAX, 5), ("whose top level overflows", F32_MAX, 13)]:
+        yield row(pc.quantize, f"of a matrix {case} at q {q}", (np.array([[big, 0.0, -big]], np.float32), q),
+                  ValueError, rf"max\|m\| = .* at q={q}; it must be finite and positive, with a top level that rounds")
+
+    for codes in [np.array([0, 15, 16]), np.array([-1, 2, 3])]:
+        yield row(pc.dequantize, f"of codes {codes.tolist()} at q 4", qmat(4, 0.1, codes), ValueError,
+                  r"codes outside \[0, 15\] for q=4$")
+    for codes in [np.array([1.5, 2.0]), np.array([True, False]), [1, 2], None]:
+        yield row(pc.dequantize, f"of codes {codes!r}", qmat(codes=codes), ValueError, "codes must be integers in a")
+    # A scale must be a float32 value, finite and >= 0, whose top level (2^q - 1)/2 * scale rounds to a
+    # finite float32: numpy would warn of overflow at 1e308, and compose at the levels past the float32 range.
+    rule = "scale must be finite and >= 0, a float32 value, and give a top level that rounds to a finite float32 at q="
+    for scale in [np.nan, -1.0, np.inf, 1e308, 0.1, "0.5", 1j]:
+        yield row(pc.dequantize, f"at scale {scale!r}", qmat(scale=scale), ValueError, f"{rule}12, got ")
+    for q, scale in [(4, float(np.float32(3e38))), (4, np.float32(3e38)), (2, F32_MAX)]:
+        codes = np.tile([0, 2 ** q - 1], 77)  # the lowest and the top level
+        yield row(pc.dequantize, f"at scale {scale!r}, q {q}", qmat(q, scale, codes, (77, 2)), ValueError, f"{rule}{q}")
+    yield row(pc.dequantize, "at shape 2", qmat(shape=2), TypeError, "shape must be a sequence, got 2$")
+    for shape in [(2, 2), (-1, -3)]:
+        yield row(pc.dequantize, f"at shape {shape}", qmat(shape=shape), ValueError, r"shape .* does not hold 3 codes$")
+    for shape in [(3.0,), (True, 3)]:
+        yield row(pc.dequantize, f"at shape {shape}", qmat(shape=shape), TypeError, "shape entry must be an integer")
+
+    for name, args in [("d", (1024.5, 8, 12, 1)), ("rank", (1024, 8.5, 12, 1)), ("rank", (1024, True, 12, 1))]:
+        yield row(pc.bitrate_estimate, f"of {args}", args, TypeError, f"{name} must be an integer")
+    for d, rank in [(1024, 78), (1024, 100), (16, 17), (1024, -1)]:
+        yield row(pc.bitrate_estimate, f"at d {d}, rank {rank}", (d, rank, 12, 1), ValueError,
+                  rf"rank must lie in \[0, min\(77, d={d}\)\], got {rank}$")
+    for d in [0, -64]:
+        yield row(pc.bitrate_estimate, f"at d {d}", (d, 0, 12, 1), ValueError, f"d must be positive, got {d}$")
+    for rate in [-1, -0.5, Fraction(-1, 2), np.nan, np.inf, -np.inf]:
+        yield row(pc.bitrate_estimate, f"at {rate!r}/s", (1024, 8, 12, rate), ValueError,
+                  "keyframes_per_second must be finite and >= 0, got ")
+    for rate in ["1", None, 1j, True, np.True_]:
+        yield row(pc.bitrate_estimate, f"at {rate!r}/s", (1024, 8, 12, rate), TypeError,
+                  f"keyframes_per_second must be a real number, got {rate!r}$")
+
+
+_BAD_ROWS = list(bad_codec_calls())
+BAD_CODEC_CALLS = {case: call for case, *call in _BAD_ROWS}
+assert len(BAD_CODEC_CALLS) == len(_BAD_ROWS), "a row id repeats, so one row hides another"
+
+
+class TestRejections:
+    @pytest.mark.parametrize("case", list(BAD_CODEC_CALLS))
+    def test_a_codec_call_rejects_bad_input(self, case):
+        # In the rejecting function's words, with no numpy warning first.
+        fn, args, kwargs, error, pattern = BAD_CODEC_CALLS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=pattern) as raised:
+                fn(*args, **kwargs)
+        assert raised.type is error
+
+    def test_every_codec_check_has_a_row(self):
+        # A check is a raise, nm.index_arg or nm.tuple_arg call in prompt_codec.py; each row's innermost frame there
+        # is a check, and each check is some row's.
+        checks = {(n.lineno, n.col_offset, n.end_lineno, n.end_col_offset)
+                  for n in ast.walk(ast.parse(Path(pc.__file__).read_text())) if isinstance(n, ast.Raise)
+                  or isinstance(n, ast.Call) and getattr(n.func, "attr", "") in ("index_arg", "tuple_arg")}
+        failed = set()
+        for fn, args, kwargs, *_ in BAD_CODEC_CALLS.values():
+            with pytest.raises(Exception) as raised:
+                fn(*args, **kwargs)
+            f = [f for f in traceback.extract_tb(raised.tb) if f.filename == pc.__file__][-1]
+            failed.add((f.lineno, f.colno, f.end_lineno, f.end_colno))
+        assert failed <= checks, f"rows fail outside a check, at {sorted(failed - checks)}"
+        assert checks <= failed, f"no row fails from the checks at {sorted(checks - failed)}"
