@@ -31,12 +31,6 @@
  * each lane still rounds one float32 multiply and then one add, in the same
  * k order.
  *
- * Every NaN in c is stored as the quiet NaN 0x7fc00000.  Where two NaNs
- * meet in a multiply or an add, the one passed on is that of the operand
- * the compiler happens to put first (AVX-512 puts a broadcast operand
- * second), and numpy's loops order theirs differently; with one NaN, the
- * bytes of c depend only on the values of a and b.
- *
  * Threads.  Both products cut their m x n output c (a convolution's
  * m is co, its n the output pixels) into the same tasks: task
  * t = p*chunks + r is rows [r*MC, r*MC + MC) of NR-column panel p, where
@@ -63,10 +57,9 @@
  * form, so the bytes are the same.  It writes the final layout straight,
  * with no copy of x and no array per tap, and runs on the caller's thread:
  * the render's x8 upsample is 3.1M multiply-adds an axis, below
- * SPLIT_MIN_WORK.  It allocates nothing and returns 0.  As in the
- * products, every NaN in out is stored as 0x7fc00000.  The 512-bit
- * preference reaches it too: the render's last-axis pass (3x512x64 to
- * 3x512x512) takes 0.85-0.92 ms against 1.01-1.04 ms at 256 bits.
+ * SPLIT_MIN_WORK.  It allocates nothing.  The 512-bit preference reaches
+ * it too: the render's last-axis pass (3x512x64 to 3x512x512) takes
+ * 0.85-0.92 ms against 1.01-1.04 ms at 256 bits.
  *
  * The elementwise passes.  silu, group_norm and softmax_last keep numpy's
  * exp and its pairwise sums, whose bytes come from numpy's own SIMD loops.
@@ -87,24 +80,27 @@
  * np.errstate(invalid="ignore", over="ignore"), so an op warns about
  * neither inf - inf, -inf * 0 nor overflow, with or without the library.
  *
- * NaN.  numpy passes on one of two NaNs by where the pair sits in its
- * vectors, not by operand: in a float32 product of 17 to 31 entries (numpy
- * 2.4, AVX-512), the first 16 give a's NaN and the others b's, and a row's
- * max is not always the row's first NaN.  So a pass whose operands hold a
- * NaN declines, and the op runs its numpy form: x for silu and
+ * NaN.  Where two NaNs meet, numpy passes on one of them by where the pair
+ * sits in its vectors, not by operand: in a float32 product of 17 to 31
+ * entries (numpy 2.4, AVX-512), the first 16 give a's NaN and the others
+ * b's, and a row's max is not always the row's first NaN.  No fixed rule in
+ * C gives those bytes, so a NaN sends the call to the op's numpy form, and
+ * every NaN an op returns has its numpy form's bytes.  The products and
+ * the resample decline when their output holds a NaN (one test per tile
+ * or row), the passes when their operands do: x for silu and
  * softmax_last, and mu, gamma or beta for group_norm, whose mu is NaN
  * wherever its group of x holds one.  Without a NaN operand, the NaNs the
- * steps make are the host's default NaN (inf - inf, 0 * inf), the same in C
- * and numpy, r's among them, and no pass reads a NaN that numpy's exp made.
+ * passes' steps make are the host's default NaN (inf - inf, 0 * inf), the
+ * same in C and numpy, r's among them, and no pass reads a NaN that
+ * numpy's exp made.
  *
- * Every entry point returns 0 once it has written its output.  A pass
- * whose operands hold a NaN, or whose softmax_last rows are shorter than
- * one vector, returns 1 (DECLINED), and the op runs its numpy form; a
- * product that got no memory for its panel returns 2 (NO_PANEL), and the
- * op raises MemoryError.  numerics._strict_kernel reads these two codes.
+ * Every entry point returns 0 once it has written its output.  One that
+ * meets a NaN as above, or a softmax_last whose rows are shorter than one
+ * vector, returns 1 (DECLINED), and the op runs its numpy form; a product
+ * that got no memory for its panel returns 2 (NO_PANEL), and the op raises
+ * MemoryError.  numerics._strict_kernel reads these two codes.
  */
 #define _GNU_SOURCE
-#include <math.h>
 #include <pthread.h>
 #include <sched.h>
 #include <stdlib.h>
@@ -133,16 +129,10 @@ enum { DECLINED = 1, NO_PANEL = 2 };
  * (0.6M; 0.72-0.74x) stay on one thread. */
 #define SPLIT_MIN_WORK (1L << 22)
 
-/* Store every NaN in d[0 .. len) as the quiet NaN 0x7fc00000. */
-static void one_nan(float *d, long len)
+/* c[:, j0:j0+nc] = a @ panel for the m rows of a (k columns, row-major); nonzero if c holds a NaN. */
+static int tile_rows(const float *a, const float *panel, float *c, long m, long k, long n, long j0, long nc)
 {
-    for (long i = 0; i < len; i++)
-        d[i] = d[i] == d[i] ? d[i] : NAN;
-}
-
-/* c[:, j0:j0+nc] = a @ panel for the m rows of a (k columns, row-major). */
-static void tile_rows(const float *a, const float *panel, float *c, long m, long k, long n, long j0, long nc)
-{
+    int nan = 0;  /* one test per tile: a select per entry made 77x8 @ 8x1024 about 30% slower */
     for (long i0 = 0; i0 < m; i0 += MR) {
         const float *row[MR];
         float acc[MR][NR];
@@ -159,16 +149,13 @@ static void tile_rows(const float *a, const float *panel, float *c, long m, long
                     acc[r][j] += x * p[j];
             }
         }
-        int nan = 0;  /* one test per tile: a select per entry made 77x8 @ 8x1024 about 30% slower */
         for (int r = 0; r < MR; r++)
             for (int j = 0; j < NR; j++)
                 nan |= acc[r][j] != acc[r][j];
-        for (int r = 0; r < MR && i0 + r < m; r++) {
-            if (nan)
-                one_nan(acc[r], nc);
+        for (int r = 0; r < MR && i0 + r < m; r++)
             memcpy(c + (i0 + r) * n + j0, acc[r], sizeof(float) * nc);
-        }
     }
+    return nan;
 }
 
 /* Let another hardware thread run while this one waits for the others' tasks. */
@@ -200,6 +187,7 @@ struct job {
     long next;                     /* the next task to claim */
     long done;                     /* tasks finished */
     long refs;                     /* threads that hold the job; the last one frees it */
+    int nan;                       /* set once a task's part of c holds a NaN */
 };
 
 static void run_tasks(struct job *j, float *panel)
@@ -211,7 +199,8 @@ static void run_tasks(struct job *j, float *panel)
         if (filled != p)
             j->fill(j, panel, j0, nc);
         filled = p;
-        tile_rows(j->a + r0 * j->k, panel, j->c + r0 * j->n, rows, j->k, j->n, j0, nc);
+        if (tile_rows(j->a + r0 * j->k, panel, j->c + r0 * j->n, rows, j->k, j->n, j0, nc))
+            __atomic_store_n(&j->nan, 1, __ATOMIC_RELAXED);
         __atomic_fetch_add(&j->done, 1, __ATOMIC_RELEASE);  /* publishes the task's part of c */
     }
 }
@@ -245,7 +234,8 @@ static long threads_for(const struct job *j)
 }
 
 /* Run every task of *job on the caller's thread and up to T-1 detached
- * helpers; NO_PANEL if the caller has no panel.  The caller waits for the
+ * helpers; NO_PANEL if the caller has no panel, DECLINED if c holds a NaN
+ * (the tasks still run to the end).  The caller waits for the
  * tasks, not for the helpers: one that starts after the last task was
  * claimed finds nothing to do, and the last thread out frees the job. */
 static int run_job(struct job *job)
@@ -260,7 +250,7 @@ static int run_job(struct job *job)
     if (!j) {  /* one thread, or no memory to share the job: the caller runs every task */
         run_tasks(job, panel);
         free(panel);
-        return 0;
+        return job->nan ? DECLINED : 0;
     }
     *j = *job;
     j->refs = t;
@@ -275,8 +265,9 @@ static int run_job(struct job *job)
     free(panel);
     while (__atomic_load_n(&j->done, __ATOMIC_ACQUIRE) < j->tasks)
         relax();
+    int nan = __atomic_load_n(&j->nan, __ATOMIC_RELAXED);  /* each task's store came before its done */
     release(j);
-    return 0;
+    return nan ? DECLINED : 0;
 }
 
 /* Columns j0 .. j0+nc-1 of b. */
@@ -344,8 +335,9 @@ int strict_conv3x3_f32(const float *x, const float *w, float *c, long ci, long h
     return run_job(&j);
 }
 
-/* One NaN test per row of out, not a select per entry: with restrict on
- * every pointer, that lets gcc vectorize the last-axis loop with gathers. */
+/* One NaN test per row of out, not a branch per entry: with restrict on
+ * every pointer, that lets gcc vectorize the last-axis loop with gathers.
+ * DECLINED once a row holds a NaN. */
 int resample4_f32(const float *restrict x, const long *restrict idx, const float *restrict w, float *restrict out,
                   long outer, long n, long inner, long nj)
 {
@@ -362,7 +354,7 @@ int resample4_f32(const float *restrict x, const long *restrict idx, const float
                 nan |= v != v;
             }
             if (nan)
-                one_nan(d, nj);
+                return DECLINED;
             continue;
         }
         for (long j = 0; j < nj; j++, d += inner) {  /* a row of inner outputs from four contiguous rows */
@@ -376,7 +368,7 @@ int resample4_f32(const float *restrict x, const long *restrict idx, const float
                 nan |= v != v;
             }
             if (nan)
-                one_nan(d, inner);
+                return DECLINED;
         }
     }
     return 0;

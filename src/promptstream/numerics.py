@@ -9,16 +9,18 @@ bytes.  grad() walks the tape in reverse to return dLoss/dLeaf.  A live
 op and replay() both run an op through its one _Op call: the operands in
 C order, so their layout never changes an op's bytes, then the forward at
 their dtype, which first checks its operands and params, integer types
-included.  The public functions only convert a shape to a tuple, an eps
-to a float and indices to the tape's own copy.  Each op, group_norm with
-its steps and closed-form vjp too, is one block of this module: any helper
-it is the first to use, its forward, then its vjp; _OPS follows the last.
+included.  The public functions only convert: a shape to a tuple, an eps
+or an alpha to a float, indices to the tape's own copy, and operands that
+hold numbers to float32 arrays.  Each op, group_norm with its steps and
+closed-form vjp too, is one block of this module: any helper it is the
+first to use, its forward, then its vjp; _OPS follows the last.
 
 The strict-order product has two implementations that give the same
 bytes.  At float32 it runs a small C kernel (_strict_mm.c), compiled with
-gcc at first import and loaded through ctypes; at float64, and wherever
-the kernel cannot be built, it runs a numpy loop over k.  The one switch
-is whether the library loaded (_dll); only _strict_kernel reads it.
+gcc at first import and loaded through ctypes; at float64, wherever the
+kernel cannot be built, and where its output holds a NaN, it runs a numpy
+loop over k.  The one switch is whether the library loaded (_dll); only
+_strict_kernel reads it.
 conv2d's float32 forward runs the kernel's second entry point, which
 gathers each 3x3 patch from the input as it fills the kernel's panels;
 the patch matrix that _im2col builds serves only the conv2d vjp, float64
@@ -44,9 +46,10 @@ tempfile.gettempdir(), keyed by a hash of the source and the flags.
 
 _strict_mm.c's header states how a product runs as tasks on the CPUs of
 the calling thread's affinity mask with the same bytes for any number of
-threads, why every NaN the strict product and the resample make, there
-and in their numpy forms, is numpy's quiet NaN, and why a NaN operand
-sends the elementwise passes to their numpy forms.
+threads, and why a NaN sends every entry point's call to its op's numpy
+form: the products and the resample decline when their output holds one,
+the elementwise passes when their operands do, so every NaN an op returns
+has its numpy form's bytes.
 
 No op writes to a Tensor's array; a tape is confined to one thread.
 """
@@ -63,12 +66,16 @@ import time
 from collections import namedtuple
 from contextlib import suppress
 from functools import lru_cache
-from math import isfinite, prod
+from math import inf, isfinite, prod
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 F32 = np.float32
+# The float64 magnitude from which rounding to float32 gives inf: halfway
+# between float32's largest value, 2^128 - 2^104, and 2^128.
+F32_ROUND_LIMIT = 2.0 ** 128 - 2.0 ** 103
 
 
 class ShapeMismatchError(ValueError):
@@ -195,13 +202,14 @@ def _strict_kernel(entry, operands, out, *sizes):
     one.  This is where the kernel or the numpy form is chosen: numpy runs
     when the first operand is not float32, wherever the library did not
     load, where a given out is not a C-contiguous float32 array, and where
-    an elementwise pass declines because its operands hold a NaN.  A
-    product that got no memory for its panel raises MemoryError.  Each
-    operand is passed as a C-contiguous array of the dtype the entry point
-    reads.  The kernel trusts the sizes it is given; each forward checks its
-    operands before it calls here.  A call with another number of operands
-    or sizes than its entry's row of STRICT_MM_ENTRIES raises TypeError,
-    whichever form runs.
+    the entry point declines: a product's or the resample's output holds a
+    NaN, an elementwise pass's operands do, or softmax_last's rows are
+    shorter than one vector.  A product that got no memory for its panel
+    raises MemoryError.  Each operand is passed as a C-contiguous array of
+    the dtype the entry point reads.  The kernel trusts the sizes it is
+    given; each forward checks its operands before it calls here.  A call
+    with another number of operands or sizes than its entry's row of
+    STRICT_MM_ENTRIES raises TypeError, whichever form runs.
     """
     dtypes, n_sizes = STRICT_MM_ENTRIES[entry]
     if len(operands) != len(dtypes) or len(sizes) != n_sizes:
@@ -292,7 +300,7 @@ def _vjp_neg(a, p, out, g, needs):
 
 
 def _mm_loop(a, b):
-    """The numpy form of matmul's strict product: float64 replay, fallback and test reference.
+    """The numpy form of matmul's strict product: float64 replay, the fallback, any output with a NaN, test reference.
 
     Like the C kernel, it warns about nothing: 0*inf gives NaN and a
     product past the range gives inf without a numpy RuntimeWarning.
@@ -305,7 +313,6 @@ def _mm_loop(a, b):
         for kk in range(k):
             np.multiply(a[:, kk, np.newaxis], b[np.newaxis, kk, :], out=tmp)
             out += tmp
-    np.copyto(out, np.nan, where=np.isnan(out))  # one NaN, as in the kernel
     return out
 
 
@@ -537,8 +544,8 @@ def _fwd_resample_cubic_axis(a, p):
     out = _strict_kernel("resample4_f32", (x, idx, w), out_shape, outer, n, inner, nj)
     if out is not None:
         return out
-    # The numpy form, for float64 replay and where the kernel is missing: the
-    # kernel's layout, each tap gathering along the middle axis of (outer, n, inner).
+    # The numpy form, for float64 replay, the fallback and an output with a NaN:
+    # the kernel's layout, each tap gathering along the middle axis of (outer, n, inner).
     x = x.reshape(outer, n, inner)
     w = w.astype(x.dtype, copy=False)[:, :, np.newaxis]
 
@@ -555,7 +562,6 @@ def _fwd_resample_cubic_axis(a, p):
         hi = tap(2)
         hi += tap(3)
         out += hi
-    np.copyto(out, np.nan, where=np.isnan(out))  # one NaN, as in the kernel
     return out.reshape(out_shape)
 
 
@@ -715,8 +721,7 @@ class Tensor:
     __slots__ = ("data", "tape", "node")
 
     def __init__(self, data, tape=None, node=None):
-        arr = np.asarray(data, dtype=F32)
-        self.data = arr
+        self.data = np.asarray(array_arg(data, "Tensor: data"), dtype=F32)
         self.tape = tape
         self.node = node
 
@@ -753,7 +758,7 @@ class GradTape:
 
     def leaf(self, data) -> Tensor:
         """Register a copy of data as an input; grad() can differentiate w.r.t. it."""
-        arr = np.array(data, dtype=F32)
+        arr = np.array(array_arg(data, "GradTape.leaf: data"), dtype=F32)
         return Tensor(arr, self, self._input(arr))
 
     def _input(self, arr):
@@ -766,7 +771,8 @@ class GradTape:
 
         overrides maps an input's node id -> replacement array; another id
         raises ValueError, and so does a wrong-shaped array, as each op checks
-        its operands as a live op does.  dtype float64 gives a high-precision
+        its operands as a live op does; one of objects, strings or complex
+        numbers raises TypeError.  dtype float64 gives a high-precision
         evaluation of the identical computation, for finite-difference oracles.
         """
         overrides = overrides or {}
@@ -775,7 +781,7 @@ class GradTape:
             raise ValueError(f"replay: nodes {bad} are not inputs of this tape")
         vals = [None] * len(self.values)
         for i in self.inputs:
-            vals[i] = np.asarray(overrides.get(i, self.values[i]), dtype=dtype)
+            vals[i] = np.asarray(array_arg(overrides.get(i, self.values[i]), "replay: an override"), dtype=dtype)
         for rec in self.records:
             vals[rec.out] = _OPS[rec.op]([vals[j] for j in rec.inputs], rec.params)
         return vals
@@ -788,7 +794,8 @@ def _apply(op_name, inputs, **params):
             if tape is not None and tape is not t.tape:
                 raise ValueError("operands come from different tapes")
             tape = t.tape
-    arrays = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=F32) for t in inputs]
+    arrays = [t.data if isinstance(t, Tensor) else np.asarray(array_arg(t, f"{op_name}: an operand"), dtype=F32)
+              for t in inputs]
     out = _OPS[op_name](arrays, params)
     if tape is None:
         return Tensor(out)
@@ -899,6 +906,30 @@ def tuple_arg(value, what):
         raise TypeError(f"{what} must be a sequence, got {value!r}") from None
 
 
+def real_arg(value, what):
+    """value as a float; TypeError naming what for a value that is not a real number, a bool or a str included.
+
+    A real past the float range, such as 10**400, gives the infinity of its sign.
+    """
+    if isinstance(value, bool) or not isinstance(value, (float, Real)):  # float first: Real's check takes ~0.5 us
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return -inf if value < 0 else inf
+
+
+def array_arg(value, what):
+    """value as a numpy array; TypeError naming what for any dtype but bool, integer and float.
+
+    A cast to float32 would make a None NaN, parse a str and drop an imaginary part.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"{what} must hold bool, integer or float entries, got dtype {arr.dtype}")
+    return arr
+
+
 def take_axis(x, idx, axis):
     return _apply("take_axis", (x,), idx=_int_index(idx, "take_axis"), axis=axis)
 
@@ -922,8 +953,8 @@ def mean_all(x):
 
 
 def rsqrt_eps(x, eps=1e-5):
-    """1/sqrt(x + eps); eps must be finite and > 0 once rounded to x's dtype (ValueError)."""
-    return _apply("rsqrt_eps", (x,), eps=float(eps))
+    """1/sqrt(x + eps); eps must be a real number (TypeError), finite and > 0 once rounded to x's dtype (ValueError)."""
+    return _apply("rsqrt_eps", (x,), eps=real_arg(eps, "rsqrt_eps: eps"))
 
 
 def clip01(x):
@@ -938,16 +969,17 @@ def lerp(a, b, alpha):
     computes out = a*(1-alpha), then out += b*alpha, with both weights
     rounded to float32 first, so its bytes equal those of
     add(mul(a, 1-alpha), mul(b, alpha)); it allocates the result and one
-    temporary. Exact at alpha 0 and 1. A weight that is not finite (an
-    alpha that is NaN, infinite or past the float32 range) raises
+    temporary. Exact at alpha 0 and 1. An alpha that is not a real number
+    (a bool or a str included) raises TypeError, and a weight that is not
+    finite (an alpha that is NaN, infinite or past the float32 range)
     ValueError. The weights are op params, so a tape replays it at float64
     too. Prompt interpolation uses it, and a KV cache over projected
     keyframes would too, so both give the same bits.
     """
-    # numpy warns as it rounds an alpha from 2**128 - 2**103 (float32's max
-    # plus half an ulp) in size to inf; such an alpha reaches the op as that inf.
-    alpha = float(alpha)
-    al = F32(alpha) if abs(alpha) < 2.0 ** 128 - 2.0 ** 103 else F32(alpha * np.inf)
+    # numpy warns as it rounds an alpha from F32_ROUND_LIMIT in size to inf;
+    # such an alpha reaches the op as that inf.
+    alpha = real_arg(alpha, "lerp: alpha")
+    al = F32(alpha) if abs(alpha) < F32_ROUND_LIMIT else F32(alpha * np.inf)
     return _apply("lerp", (a, b), wa=float(F32(1.0) - al), wb=float(al))
 
 
@@ -961,10 +993,10 @@ def group_norm(x, gamma, beta, groups=4, eps=1e-5):
     mean is numpy's over the contiguous row, so the bytes are those of the
     same steps as separate reshape, mean_axes, sub, mul, rsqrt_eps and add
     ops.  gamma and beta must be (C,) and groups an integer >= 1 dividing C
-    (ShapeMismatchError, TypeError); eps must be finite and > 0 once rounded
-    to the operands' dtype (ValueError).
+    (ShapeMismatchError, TypeError); eps must be a real number (TypeError),
+    finite and > 0 once rounded to the operands' dtype (ValueError).
     """
-    return _apply("group_norm", (x, gamma, beta), groups=groups, eps=float(eps))
+    return _apply("group_norm", (x, gamma, beta), groups=groups, eps=real_arg(eps, "group_norm: eps"))
 
 
 def resample_cubic_axis(x, factor, axis):
@@ -972,9 +1004,9 @@ def resample_cubic_axis(x, factor, axis):
 
     Output sample j reads the four clamped input samples t0..t3 around it
     and sums (t0*w0 + t1*w1) + (t2*w2 + t3*w3) in float32, with float32
-    weights. Every NaN in the result is the quiet NaN 0x7fc00000, whichever
-    NaN or inf - inf made it, and the op emits no numpy RuntimeWarning. See
-    upsample_cubic.
+    weights. A result that holds a NaN comes from the numpy form, its bytes
+    with or without the C kernel, and the op emits no numpy RuntimeWarning.
+    See upsample_cubic.
     """
     return _apply("resample_cubic_axis", (x,), factor=factor, axis=axis)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import inf, prod
-from numbers import Real
 
 import numpy as np
 
@@ -23,9 +22,6 @@ DEFAULT_Q = 12
 # Widest code for which dequantize's float64 level (c - half) * scale is
 # exact: a (q+1)-bit half-integer times a 24-bit float32 scale needs q+25 bits.
 MAX_Q = 28
-# The float64 level from which rounding to float32 gives inf: halfway between
-# float32's largest value, 2^128 - 2^104, and 2^128.
-_F32_LEVEL_LIMIT = 2.0 ** 128 - 2.0 ** 103
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,14 +33,16 @@ class LowRankPrompt:
     `matrix` caches compose(self) on first use. U and V are stored as
     read-only copies of the arrays passed in, so the cache cannot go stale
     when the caller changes those arrays. Equality and hashing are by
-    identity, so a keyframe can key a dict.
+    identity, so a keyframe can key a dict. A factor of objects, strings
+    or complex numbers raises TypeError.
     """
 
     U: np.ndarray  # (77, r) float32 or float64
     V: np.ndarray  # (r, d) float32 or float64
 
     def __post_init__(self):
-        u, v = np.array(self.U), np.array(self.V)
+        u = np.array(nm.array_arg(self.U, "LowRankPrompt: U"))
+        v = np.array(nm.array_arg(self.V, "LowRankPrompt: V"))
         if u.ndim != 2 or v.ndim != 2 or u.shape[0] != TOKENS or u.shape[1] != v.shape[0]:
             raise nm.ShapeMismatchError(f"LowRankPrompt: U {u.shape} vs V {v.shape}")
         u.flags.writeable = v.flags.writeable = False
@@ -101,7 +99,8 @@ class PromptGroup:
 
     Keyframes are shared with adjacent groups, so alphas run from exactly
     0 (keyframe_a) to exactly 1 (keyframe_b). Equality and hashing are by
-    identity, as for LowRankPrompt.
+    identity, as for LowRankPrompt. Keyframes that are not LowRankPrompts
+    raise TypeError.
     """
 
     keyframe_a: LowRankPrompt
@@ -110,6 +109,9 @@ class PromptGroup:
     alphas: tuple = field(default=None)
 
     def __post_init__(self):
+        if not (isinstance(self.keyframe_a, LowRankPrompt) and isinstance(self.keyframe_b, LowRankPrompt)):
+            raise TypeError(f"PromptGroup: keyframes must be LowRankPrompts, got "
+                            f"{type(self.keyframe_a).__name__} and {type(self.keyframe_b).__name__}")
         if self.keyframe_a.rank != self.keyframe_b.rank or self.keyframe_a.d != self.keyframe_b.d:
             raise nm.ShapeMismatchError(
                 f"PromptGroup: keyframes disagree: "
@@ -118,7 +120,7 @@ class PromptGroup:
         if nm.index_arg(self.group_len, "PromptGroup: group_len") < 2:
             raise ValueError(f"PromptGroup: group_len must be >= 2, got {self.group_len}")
         alphas = uniform_alphas(self.group_len) if self.alphas is None else tuple(
-            float(_real_arg(a, "PromptGroup: an alpha")) for a in nm.tuple_arg(self.alphas, "PromptGroup: alphas"))
+            nm.real_arg(a, "PromptGroup: an alpha") for a in nm.tuple_arg(self.alphas, "PromptGroup: alphas"))
         object.__setattr__(self, "alphas", alphas)
         if len(self.alphas) != self.group_len:
             raise ValueError(f"PromptGroup: {len(self.alphas)} alphas for group_len {self.group_len}")
@@ -142,9 +144,11 @@ def interpolate(group: PromptGroup, i: int):
     One nm.lerp of the keyframes' cached matrices, so the bytes are float32
     a*(1-a_i) + b*a_i with a = compose(kf_a) and b = compose(kf_b). The
     returned frame is a new, writable array that shares no memory with
-    the cache. i must be an integer (a numpy integer too, not a bool or a
-    float): TypeError otherwise.
+    the cache. group must be a PromptGroup and i an integer (a numpy
+    integer too, not a bool or a float): TypeError otherwise.
     """
+    if not isinstance(group, PromptGroup):
+        raise TypeError(f"interpolate: group must be a PromptGroup, got {type(group).__name__}")
     i = nm.index_arg(i, "interpolate: frame index")
     if not 0 <= i < group.group_len:
         raise IndexError(f"interpolate: frame index {i} outside group of length {group.group_len}")
@@ -170,11 +174,12 @@ def quantize(m, q=DEFAULT_Q) -> QuantizedMatrix:
     positive, with a top level (2^q - 1)/2 * scale that rounds to a finite
     float32, as dequantize requires: a ValueError names a matrix whose
     max|m| breaks that rule.  An entry past the float32 range rounds to inf
-    with no numpy warning, and is rejected as non-finite.
+    with no numpy warning, and is rejected as non-finite; a matrix of
+    objects, strings or complex numbers raises TypeError.
     """
     q = _check_q(q, "quantize: q")
     with np.errstate(over="ignore"):
-        m = np.asarray(m, dtype=np.float32)
+        m = np.asarray(nm.array_arg(m, "quantize: m"), dtype=np.float32)
     if not np.isfinite(m).all():
         raise ValueError("quantize: matrix contains non-finite values")
     levels = (1 << q) - 1
@@ -186,7 +191,7 @@ def quantize(m, q=DEFAULT_Q) -> QuantizedMatrix:
         return QuantizedMatrix(q, 0.0, codes.reshape(-1), m.shape)
     with np.errstate(over="ignore"):
         scale = np.float32(2.0 * amax / levels)
-    if not 0.0 < half * float(scale) < _F32_LEVEL_LIMIT:
+    if not 0.0 < half * float(scale) < nm.F32_ROUND_LIMIT:
         raise ValueError(f"quantize: max|m| = {amax:g} gives scale {scale} at q={q}; it must be finite and positive, "
                          "with a top level that rounds to a finite float32")
     u = m.astype(np.float64) / float(scale) + half
@@ -203,12 +208,15 @@ def dequantize(qm: QuantizedMatrix):
     checked: codes not a numpy array of integers in [0, 2^q - 1], a shape
     not holding them or a scale not a float32 value >= 0 whose top level
     (2^q - 1)/2 * scale rounds to a finite float32 raises ValueError, and a
-    shape not a sequence of integers TypeError.
+    qm not a QuantizedMatrix, or a shape not a sequence of integers,
+    TypeError.
 
     The levels are not rounded to float32 here: that rounding can move a
     level past the scale/2 bound. compose rounds them once, when a
     LowRankPrompt built from them is multiplied out.
     """
+    if not isinstance(qm, QuantizedMatrix):
+        raise TypeError(f"dequantize: qm must be a QuantizedMatrix, got {type(qm).__name__}")
     _check_q(qm.q, "dequantize: q")
     if not isinstance(qm.codes, np.ndarray) or qm.codes.dtype.kind not in "iu":
         raise ValueError("dequantize: codes must be integers in a numpy array, "
@@ -221,7 +229,7 @@ def dequantize(qm: QuantizedMatrix):
         raise ValueError(f"dequantize: codes outside [0, {levels}] for q={qm.q}")
     if not (isinstance(s := qm.scale, (int, float, np.integer, np.floating))  # a NaN fails too
             and 0.0 <= s <= float(np.finfo(np.float32).max) and float(np.float32(s)) == s
-            and levels / 2.0 * float(s) < _F32_LEVEL_LIMIT):
+            and levels / 2.0 * float(s) < nm.F32_ROUND_LIMIT):
         raise ValueError(f"dequantize: scale must be finite and >= 0, a float32 value, and give a top level that "
                          f"rounds to a finite float32 at q={qm.q}, got {s!r}")
     vals = (qm.codes.astype(np.float64) - levels / 2.0) * qm.scale
@@ -237,13 +245,6 @@ def _check_q(q, what):
     if not 1 <= q <= MAX_Q:
         raise ValueError(f"{what} must lie in [1, {MAX_Q}], got {q}")
     return q
-
-
-def _real_arg(value, what):
-    """value itself; TypeError naming what for a value that is not a real number, a bool or a str included."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise TypeError(f"{what} must be a real number, got {value!r}")
-    return value
 
 
 def bitrate_estimate(d, rank, q, keyframes_per_second):
@@ -262,7 +263,7 @@ def bitrate_estimate(d, rank, q, keyframes_per_second):
     q = _check_q(q, "bitrate_estimate: q")
     if not 0 <= rank <= min(TOKENS, d):
         raise ValueError(f"bitrate_estimate: rank must lie in [0, min(77, d={d})], got {rank}")
-    _real_arg(keyframes_per_second, "bitrate_estimate: keyframes_per_second")
+    nm.real_arg(keyframes_per_second, "bitrate_estimate: keyframes_per_second")
     if not 0 <= keyframes_per_second < inf:  # a NaN fails too
         raise ValueError("bitrate_estimate: keyframes_per_second must be finite and >= 0, "
                          f"got {keyframes_per_second!r}")

@@ -73,6 +73,8 @@ SPLIT_MIN_WORK = _split_min_work()
 MC = _rows_per_task()
 TINY = np.finfo(np.float32).smallest_subnormal
 KERNEL_SPECIALS = np.array([-0.0, np.inf, -np.inf, np.nan, TINY, -TINY, 1e-40, -3e-39, 3e38, -3e38], np.float32)
+# The entry points that decline an output holding a NaN: the op's numpy form makes it.
+NAN_DECLINERS = {"strict_mm_f32", "strict_conv3x3_f32", "resample4_f32"}
 
 
 def assert_numpy_form_bytes(op, *args):
@@ -82,22 +84,27 @@ def assert_numpy_form_bytes(op, *args):
     over k, on the operands and on _im2col's patch matrix.  Every row of
     KERNEL_CASES and every draw of TestKernelProperties runs through here.
     The rules catch what equal bytes cannot, a fault both forms share:
-    matmul and conv2d never give -0, as every sum starts at +0.0, and every
-    NaN that they and resample_cubic_axis give is numpy's quiet NaN
-    0x7fc00000.  Returns the library's output.
+    matmul and conv2d never give -0, as every sum starts at +0.0, and no C
+    output of theirs or of resample_cubic_axis holds a NaN, as those entry
+    points decline one.  Returns the library's output.
     """
-    with warnings.catch_warnings():
+    kernel = nm._strict_kernel
+
+    def spy(entry, *call):
+        out = kernel(entry, *call)
+        assert not (entry in NAN_DECLINERS and out is not None and np.isnan(out).any()), f"{entry} kept a NaN"
+        return out
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("error")
+        mp.setattr(nm, "_strict_kernel", spy)
         got = op(*args).data
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nm, "_dll", None)
-            want = op(*args).data
+        mp.setattr(nm, "_dll", None)
+        want = op(*args).data
     assert got.dtype == np.float32 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     if op in (nm.matmul, nm.conv2d):
         assert not np.signbit(got[got == 0]).any(), "a sum gave -0"
-    if op in (nm.matmul, nm.conv2d, nm.resample_cubic_axis):
-        assert set(got.view(np.uint32)[np.isnan(got)].tolist()) <= {0x7FC00000}, "a NaN other than 0x7fc00000"
     return got
 
 
@@ -362,20 +369,23 @@ class TestStrictKernel:
         assert_numpy_form_bytes(op, *args)
 
     def test_every_entry_point_runs_in_c_on_a_row(self, monkeypatch):
-        # So no entry point loses its last pinned case unnoticed; and the split
-        # rows stay above SPLIT_MIN_WORK, where the products run on every CPU.
-        ran, kernel = set(), nm._strict_kernel
+        # So no entry point loses its last pinned case unnoticed, nor one of
+        # NAN_DECLINERS its last case of a NaN output; and the split rows stay
+        # above SPLIT_MIN_WORK, where the products run on every CPU.
+        ran, declined, kernel = set(), set(), nm._strict_kernel
 
-        def spy(entry, *args):
-            out = kernel(entry, *args)
+        def spy(entry, operands, *args):
+            out = kernel(entry, operands, *args)
             if out is not None:
                 ran.add(entry)
+            elif operands[0].dtype == np.float32:
+                declined.add(entry)
             return out
 
         monkeypatch.setattr(nm, "_strict_kernel", spy)
         for op, *args in KERNEL_CASES.values():
             op(*args)
-        assert ran == set(nm.STRICT_MM_ENTRIES)
+        assert ran == set(nm.STRICT_MM_ENTRIES) and NAN_DECLINERS <= declined
         assert all(m * k * n >= SPLIT_MIN_WORK for m, k, n in SPLIT_PRODUCTS)
         assert all(co * c * 9 * (h // s) * (w // s) >= SPLIT_MIN_WORK for c, co, h, w, s in SPLIT_CONVS)
 
@@ -399,7 +409,7 @@ class TestStrictKernel:
         assert len(cases) == 4
         for case in cases:
             out = row_output(case)
-            assert set(out.view(np.uint32)[np.isnan(out)].tolist()) == {0x7FC00000} and np.isinf(out).any(), case
+            assert np.isnan(out).any() and np.isinf(out).any(), case
 
     def test_sums_of_nothing_or_of_signed_zeros_are_zeros(self):
         assert np.array_equal(row_output("matmul 5x0x37"), np.zeros((5, 37)))
@@ -1585,6 +1595,47 @@ def bad_calls():
 
 BAD_CALLS = {case: call for case, *call in bad_calls()}
 
+# Operands that hold no numbers, which a cast to float32 would make NaNs, parse or cut to their real part.
+NOT_NUMBERS = {"objects": np.full((3, 4), None), "strs": np.full((3, 4), "1"), "bytes": np.full((3, 4), b"1"),
+               "complex numbers": np.full((3, 4), 1 + 2j)}
+
+
+def bad_wrapper_calls():
+    """Each bad argument that a public function, Tensor or GradTape rejects before any op, as a bad_calls() row."""
+    x = np.ones((3, 4), np.float32)
+    yield "mean_axes", nm.mean_axes, (x, 1), {}, TypeError, "^mean_axes: axes must be a sequence, got 1$"
+    yield "reshape", nm.reshape, (x, 12), {}, TypeError, "^reshape: shape must be a sequence, got 12$"
+    for fn in (nm.upsample_cubic, nm.upsample_nearest):
+        name = fn.__name__
+        for factor, case in [(2, name), (1, f"{name} at factor 1")]:
+            yield case, fn, (x, factor), {"axes": 1}, TypeError, f"^{name}: axes must be a sequence"
+        for factor, error in BAD_FACTORS.items():
+            yield f"{name} by {factor!r}", fn, (x, factor), {}, error, f"^{name}: factor must be an integer"
+    yield ("take_flat", nm.take_flat, (x, [1, 2], (3,)), {}, ShapeMismatchError,
+           "^take_flat: 2 indices do not fill out_shape")
+    operands = np.ones((4, 3, 3), np.float32), np.ones(4, np.float32), np.ones(4, np.float32)
+    for bad in ["0.5", True, None, 0.5j, np.array(0.5)]:
+        yield f"lerp at alpha {bad!r}", nm.lerp, (x, x, bad), {}, TypeError, "^lerp: alpha must be a real number, got "
+        yield (f"rsqrt_eps at eps {bad!r}", nm.rsqrt_eps, (x, bad), {}, TypeError,
+               "^rsqrt_eps: eps must be a real number, got ")
+        yield (f"group_norm at eps {bad!r}", nm.group_norm, operands, {"eps": bad}, TypeError,
+               "^group_norm: eps must be a real number, got ")
+    tape = GradTape()
+    leaf = tape.leaf(x)
+    nm.add(leaf, x)
+    for kind, bad in NOT_NUMBERS.items():
+        rule = f"must hold bool, integer or float entries, got dtype {bad.dtype}$"
+        yield f"add of {kind} and x", nm.add, (bad, x), {}, TypeError, f"^add: an operand {rule}"
+        yield f"matmul of x and {kind}", nm.matmul, (x, bad.T), {}, TypeError, f"^matmul: an operand {rule}"
+        yield f"a Tensor of {kind}", Tensor, (bad,), {}, TypeError, f"^Tensor: data {rule}"
+        yield f"a tape leaf of {kind}", GradTape().leaf, (bad,), {}, TypeError, f"^GradTape.leaf: data {rule}"
+        yield (f"replay with an override of {kind}", tape.replay, ({leaf.node: bad},), {}, TypeError,
+               f"^replay: an override {rule}")
+    yield "add of x and a list of strs", nm.add, (x, [["1", "2", "3", "4"]]), {}, TypeError, "^add: an operand must"
+
+
+BAD_WRAPPER_CALLS = {case: call for case, *call in bad_wrapper_calls()}
+
 
 def ops_reached(fn, args, kwargs):
     """The error that fn(*args, **kwargs) raises, and each (op, arrays, params) that _Op.__call__ got first."""
@@ -1640,23 +1691,22 @@ class TestArgumentChecks:
         with pytest.raises(error, match=f"^{fn.__name__}: "):
             tape.replay({leaf.node: x})
 
-    @pytest.mark.parametrize("fn, args, kwargs, error, pattern", [
-        (nm.mean_axes, (1,), {}, TypeError, "^mean_axes: axes must be a sequence, got 1$"),
-        (nm.reshape, (12,), {}, TypeError, "^reshape: shape must be a sequence, got 12$"),
-        (nm.upsample_cubic, (2,), {"axes": 1}, TypeError, "^upsample_cubic: axes must be a sequence"),
-        (nm.upsample_nearest, (2,), {"axes": 1}, TypeError, "^upsample_nearest: axes must be a sequence"),
-        (nm.upsample_cubic, (1,), {"axes": 1}, TypeError, "^upsample_cubic: axes must be a sequence"),
-        (nm.upsample_nearest, (1,), {"axes": 1}, TypeError, "^upsample_nearest: axes must be a sequence"),
-        (nm.take_flat, ([1, 2], (3,)), {}, ShapeMismatchError, "^take_flat: 2 indices do not fill out_shape"),
-    ] + [(fn, (factor,), {}, error, f"^{fn.__name__}: factor must be an integer")
-         for fn in (nm.upsample_cubic, nm.upsample_nearest) for factor, error in BAD_FACTORS.items()],
-        ids=["mean_axes", "reshape", "upsample_cubic", "upsample_nearest", "upsample_cubic at factor 1",
-             "upsample_nearest at factor 1", "take_flat"]
-        + [f"{fn} by {factor!r}" for fn in ("upsample_cubic", "upsample_nearest") for factor in BAD_FACTORS])
-    def test_a_wrapper_rejects_a_bad_argument_before_any_op(self, fn, args, kwargs, error, pattern):
-        # These checks sit in the public function, not an op, so no bad_calls() row can hold them.
-        raised, calls = ops_reached(fn, (np.ones((3, 4), np.float32), *args), kwargs)
+    @pytest.mark.parametrize("case", list(BAD_WRAPPER_CALLS))
+    def test_a_wrapper_rejects_a_bad_argument_before_any_op(self, case):
+        # These checks sit in the public function, not an op, so no bad_calls()
+        # row can hold them; with no numpy warning first, as there.
+        fn, args, kwargs, error, pattern = BAD_WRAPPER_CALLS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raised, calls = ops_reached(fn, args, kwargs)
         assert type(raised) is error and re.search(pattern, str(raised)) and not calls
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int64, np.float16, np.float64])
+    def test_bool_integer_and_float_operands_convert_to_float32(self, dtype):
+        x = np.arange(-3, 9).reshape(3, 4).astype(dtype)
+        want = x.astype(np.float32).tobytes()
+        assert nm.add(x, np.float32(0)).data.tobytes() == Tensor(x).data.tobytes() == want
+        assert GradTape().leaf(x).data.tobytes() == nm.mul(x.tolist(), 1).data.tobytes() == want
 
     def test_conv2d_accepts_numpy_integer_stride(self):
         rng = np.random.default_rng(80)

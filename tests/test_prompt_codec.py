@@ -261,6 +261,11 @@ def bad_codec_calls():
 
     for u, v in [((76, 2), (2, 8)), ((77, 2), (3, 8)), ((77,), (1, 8)), ((77, 2), (2, 8, 1))]:
         yield row(pc.LowRankPrompt, f"of U {u}, V {v}", (np.zeros(u), np.zeros(v)), ShapeMismatchError, "U .* vs V ")
+    numbers = "must hold bool, integer or float entries, got dtype "
+    for name, bad in [("U", np.full((77, 2), None)), ("U", np.ones((77, 2), complex)), ("V", np.full((2, 8), "a")),
+                      ("V", np.full((2, 8), b"a"))]:
+        args = (bad, np.zeros((2, 8))) if name == "U" else (np.zeros((77, 2)), bad)
+        yield row(pc.LowRankPrompt, f"of {name} of dtype {bad.dtype}", args, TypeError, f"{name} {numbers}{bad.dtype}$")
     for fn, args in [(pc.LowRankPrompt, (np.zeros((77, 20)), np.zeros((20, 8)))), (pc.random_prompt, (20, 8, rng))]:
         yield row(fn, "of rank 20 at d 8", args, ValueError, r"rank 20 exceeds min\(77, d=8\)$", name="LowRankPrompt")
     for rank, d in [(-1, 8), (2, -8)]:
@@ -269,6 +274,9 @@ def bad_codec_calls():
     for name, rank, d in [("rank", 2.0, 8), ("rank", True, 8), ("d", 2, 8.0), ("d", 2, None)]:
         yield row(pc.random_prompt, f"of {rank!r}, {d!r}", (rank, d, rng), TypeError, f"{name} must be an integer")
 
+    for a, b, got in [("a", kf, "str and LowRankPrompt"), (kf, None, "LowRankPrompt and NoneType")]:
+        yield row(pc.PromptGroup, f"of keyframes of {got}", (a, b, 3), TypeError,
+                  f"keyframes must be LowRankPrompts, got {got}$")
     for name, other in [("rank", pc.random_prompt(4, 8, rng)), ("d", pc.random_prompt(2, 16, rng))]:
         yield row(pc.PromptGroup, f"of keyframes of two {name}s", (kf, other, 5), ShapeMismatchError,
                   r"keyframes disagree: \(77, 2\)x\(2, 8\) vs ")
@@ -281,6 +289,9 @@ def bad_codec_calls():
                                "for group_len 3$"), (3, (0.1, 0.5, 1.0), ends), (3, (0.0, 0.5, 0.9), ends),
                                (4, (0.0, 0.7, 0.7, 1.0), rises), (3, (0.0, np.nan, 1.0), rises)]:
         yield row(pc.PromptGroup, f"of length {n} at {alphas}", (kf, kf2, n), ValueError, message, {"alphas": alphas})
+    for sign in (1, -1):  # past the float range: the infinity of its sign
+        yield row(pc.PromptGroup, f"at an alpha of {sign} * 10**400", (kf, kf2, 3), ValueError, rises,
+                  {"alphas": (0, sign * 10 ** 400, 1)})
     for alphas in [("0", "0.5", "1"), (False, True, True), (0.0, None, 1.0), (0.0, 0.5j, 1.0), (0.0, np.True_, 1.0)]:
         yield row(pc.PromptGroup, f"at {alphas}", (kf, kf2, 3), TypeError, "an alpha must be a real number, got ",
                   {"alphas": alphas})
@@ -294,6 +305,9 @@ def bad_codec_calls():
         yield row(pc.interpolate, f"at {i!r}", (group, i), IndexError, f"frame index {i} outside group of length 5$")
     for i in [True, False, 1.0, 2.5]:
         yield row(pc.interpolate, f"at {i!r}", (group, i), TypeError, f"frame index must be an integer, got {i!r}$")
+    for bad in [None, kf]:
+        yield row(pc.interpolate, f"of a {type(bad).__name__}", (bad, 0), TypeError,
+                  f"group must be a PromptGroup, got {type(bad).__name__}$")
 
     for fn, args in [(pc.quantize, lambda q: (m, q)), (pc.dequantize, lambda q: qmat(q=q)),
                      (pc.bitrate_estimate, lambda q: (1024, 1, q, 1))]:
@@ -307,11 +321,17 @@ def bad_codec_calls():
         yield row(pc.quantize, f"of a matrix holding {bad}", (drawn,), ValueError, "matrix contains non-finite values$")
     yield row(pc.quantize, "of a float64 matrix holding 1e39", (np.array([[1e39, 0.0]]),), ValueError,
               "matrix contains non-finite values$")  # inf as a float32, with no numpy warning first
+    for bad in [[["a"]], np.full((2, 2), None), np.array([[1j]]), [[b"a"]]]:
+        dtype = np.asarray(bad).dtype
+        yield row(pc.quantize, f"of a matrix of dtype {dtype}", (bad,), TypeError, f"m {numbers}{dtype}$")
     for case, big, q in [("whose scale rounds to 0", 1e-45, 12), ("whose scale overflows", 3e38, 1),
                          ("whose top level overflows", F32_MAX, 5), ("whose top level overflows", F32_MAX, 13)]:
         yield row(pc.quantize, f"of a matrix {case} at q {q}", (np.array([[big, 0.0, -big]], np.float32), q),
                   ValueError, rf"max\|m\| = .* at q={q}; it must be finite and positive, with a top level that rounds")
 
+    for bad in [None, (12, 0.1, np.array([1, 2, 3], np.uint32), (3,))]:
+        yield row(pc.dequantize, f"of a {type(bad).__name__}", (bad,), TypeError,
+                  f"qm must be a QuantizedMatrix, got {type(bad).__name__}$")
     for codes in [np.array([0, 15, 16]), np.array([-1, 2, 3])]:
         yield row(pc.dequantize, f"of codes {codes.tolist()} at q 4", qmat(4, 0.1, codes), ValueError,
                   r"codes outside \[0, 15\] for q=4$")
@@ -363,11 +383,12 @@ class TestRejections:
         assert raised.type is error
 
     def test_every_codec_check_has_a_row(self):
-        # A check is a raise, nm.index_arg or nm.tuple_arg call in prompt_codec.py; each row's innermost frame there
-        # is a check, and each check is some row's.
+        # A check is a raise, or an nm.index_arg, nm.tuple_arg, nm.real_arg or nm.array_arg call, in prompt_codec.py;
+        # each row's innermost frame there is a check, and each check is some row's.
         checks = {(n.lineno, n.col_offset, n.end_lineno, n.end_col_offset)
                   for n in ast.walk(ast.parse(Path(pc.__file__).read_text())) if isinstance(n, ast.Raise)
-                  or isinstance(n, ast.Call) and getattr(n.func, "attr", "") in ("index_arg", "tuple_arg")}
+                  or isinstance(n, ast.Call) and getattr(n.func, "attr", "") in ("index_arg", "tuple_arg", "real_arg",
+                                                                                  "array_arg")}
         failed = set()
         for fn, args, kwargs, *_ in BAD_CODEC_CALLS.values():
             with pytest.raises(Exception) as raised:
