@@ -201,11 +201,12 @@ def _strict_kernel(entry, operands, out, *sizes):
     out is the float32 array the entry point writes, or the shape of a new
     one.  This is where the kernel or the numpy form is chosen: numpy runs
     when the first operand is not float32, wherever the library did not
-    load, where a given out is not a C-contiguous float32 array, and where
-    the entry point declines: a product's or the resample's output holds a
-    NaN, an elementwise pass's operands do, or softmax_last's rows are
-    shorter than one vector.  A product that got no memory for its panel
-    raises MemoryError.  Each operand is passed as a C-contiguous array of
+    load, and where the entry point declines: a product's or the resample's
+    output holds a NaN, an elementwise pass's operands do, or softmax_last's
+    rows are shorter than one vector.  A given out that is not a
+    C-contiguous float32 array, which the kernel would misread as C-ordered
+    rows, raises TypeError, and a product that got no memory for its panel
+    MemoryError.  Each operand is passed as a C-contiguous array of
     the dtype the entry point reads.  The kernel trusts the sizes it is
     given; each forward checks its operands before it calls here.  A call
     with another number of operands or sizes than its entry's row of
@@ -220,7 +221,7 @@ def _strict_kernel(entry, operands, out, *sizes):
     if isinstance(out, tuple):
         out = np.empty(out, dtype=F32)
     elif out.dtype != F32 or not out.flags.c_contiguous:
-        return None  # the kernel reads out as C-ordered rows
+        raise TypeError(f"{entry}: out must be a C-contiguous float32 array")
     arrays = [np.ascontiguousarray(x, dtype=d) for x, d in zip(operands, dtypes)]
     # Unlike x.ctypes.data, __array_interface__ leaves no cached ctypes objects behind.
     ptrs = [x.__array_interface__["data"][0] for x in (*arrays, out)]
@@ -721,7 +722,7 @@ class Tensor:
     __slots__ = ("data", "tape", "node")
 
     def __init__(self, data, tape=None, node=None):
-        self.data = np.asarray(array_arg(data, "Tensor: data"), dtype=F32)
+        self.data = array_arg(data, "Tensor: data", F32)
         self.tape = tape
         self.node = node
 
@@ -758,7 +759,7 @@ class GradTape:
 
     def leaf(self, data) -> Tensor:
         """Register a copy of data as an input; grad() can differentiate w.r.t. it."""
-        arr = np.array(array_arg(data, "GradTape.leaf: data"), dtype=F32)
+        arr = np.array(array_arg(data, "GradTape.leaf: data", F32))
         return Tensor(arr, self, self._input(arr))
 
     def _input(self, arr):
@@ -781,7 +782,7 @@ class GradTape:
             raise ValueError(f"replay: nodes {bad} are not inputs of this tape")
         vals = [None] * len(self.values)
         for i in self.inputs:
-            vals[i] = np.asarray(array_arg(overrides.get(i, self.values[i]), "replay: an override"), dtype=dtype)
+            vals[i] = array_arg(overrides.get(i, self.values[i]), "replay: an override", dtype)
         for rec in self.records:
             vals[rec.out] = _OPS[rec.op]([vals[j] for j in rec.inputs], rec.params)
         return vals
@@ -794,8 +795,7 @@ def _apply(op_name, inputs, **params):
             if tape is not None and tape is not t.tape:
                 raise ValueError("operands come from different tapes")
             tape = t.tape
-    arrays = [t.data if isinstance(t, Tensor) else np.asarray(array_arg(t, f"{op_name}: an operand"), dtype=F32)
-              for t in inputs]
+    arrays = [t.data if isinstance(t, Tensor) else array_arg(t, f"{op_name}: an operand", F32) for t in inputs]
     out = _OPS[op_name](arrays, params)
     if tape is None:
         return Tensor(out)
@@ -919,15 +919,21 @@ def real_arg(value, what):
         return -inf if value < 0 else inf
 
 
-def array_arg(value, what):
-    """value as a numpy array; TypeError naming what for any dtype but bool, integer and float.
+def array_arg(value, what, dtype=None):
+    """value as a numpy array, cast to dtype if given; TypeError naming what for a dtype not bool, integer or float.
 
-    A cast to float32 would make a None NaN, parse a str and drop an imaginary part.
+    A cast to float32 would make a None NaN, parse a str and drop an imaginary
+    part.  An entry past dtype's range becomes the infinity of its sign with
+    no numpy warning; errstate is entered only where the cast changes the
+    dtype, so an array already of dtype costs no more than the check.
     """
     arr = np.asarray(value)
     if arr.dtype.kind not in "biuf":
         raise TypeError(f"{what} must hold bool, integer or float entries, got dtype {arr.dtype}")
-    return arr
+    if dtype is None or arr.dtype == dtype:
+        return arr
+    with np.errstate(over="ignore"):
+        return arr.astype(dtype)
 
 
 def take_axis(x, idx, axis):

@@ -178,8 +178,7 @@ def quantize(m, q=DEFAULT_Q) -> QuantizedMatrix:
     objects, strings or complex numbers raises TypeError.
     """
     q = _check_q(q, "quantize: q")
-    with np.errstate(over="ignore"):
-        m = np.asarray(nm.array_arg(m, "quantize: m"), dtype=np.float32)
+    m = nm.array_arg(m, "quantize: m", np.float32)
     if not np.isfinite(m).all():
         raise ValueError("quantize: matrix contains non-finite values")
     levels = (1 << q) - 1
@@ -208,8 +207,8 @@ def dequantize(qm: QuantizedMatrix):
     checked: codes not a numpy array of integers in [0, 2^q - 1], a shape
     not holding them or a scale not a float32 value >= 0 whose top level
     (2^q - 1)/2 * scale rounds to a finite float32 raises ValueError, and a
-    qm not a QuantizedMatrix, or a shape not a sequence of integers,
-    TypeError.
+    qm not a QuantizedMatrix, a shape not a sequence of integers or a scale
+    not a real number (a bool, a str or None included), TypeError.
 
     The levels are not rounded to float32 here: that rounding can move a
     level past the scale/2 bound. compose rounds them once, when a
@@ -227,12 +226,12 @@ def dequantize(qm: QuantizedMatrix):
     levels = (1 << qm.q) - 1
     if qm.codes.size and (qm.codes.min() < 0 or qm.codes.max() > levels):
         raise ValueError(f"dequantize: codes outside [0, {levels}] for q={qm.q}")
-    if not (isinstance(s := qm.scale, (int, float, np.integer, np.floating))  # a NaN fails too
-            and 0.0 <= s <= float(np.finfo(np.float32).max) and float(np.float32(s)) == s
-            and levels / 2.0 * float(s) < nm.F32_ROUND_LIMIT):
+    s = nm.real_arg(qm.scale, "dequantize: scale")
+    if not (0.0 <= s <= float(np.finfo(np.float32).max) and float(np.float32(s)) == s  # a NaN fails too
+            and levels / 2.0 * s < nm.F32_ROUND_LIMIT):
         raise ValueError(f"dequantize: scale must be finite and >= 0, a float32 value, and give a top level that "
-                         f"rounds to a finite float32 at q={qm.q}, got {s!r}")
-    vals = (qm.codes.astype(np.float64) - levels / 2.0) * qm.scale
+                         f"rounds to a finite float32 at q={qm.q}, got {qm.scale!r}")
+    vals = (qm.codes.astype(np.float64) - levels / 2.0) * s
     return vals.reshape(shape)
 
 

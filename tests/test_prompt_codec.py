@@ -241,6 +241,8 @@ class TestCodecArguments:
         assert pc.bitrate_estimate(1024, 8, 12, np.int64(2)) == 4 * pc.bitrate_estimate(1024, 8, 12, np.float32(0.5))
         kf = pc.random_prompt(2, 8, np.random.default_rng(83))
         assert pc.PromptGroup(kf, kf, 3, alphas=(0, Fraction(1, 2), np.float32(1))).alphas == (0.0, 0.5, 1.0)
+        levels = pc.dequantize(pc.QuantizedMatrix(4, Fraction(1, 2), np.array([0, 15]), (2,)))
+        assert levels.dtype == np.float64 and levels.tolist() == [-3.75, 3.75]
 
     def test_rank_zero_random_prompt(self):
         p = pc.random_prompt(0, 8, np.random.default_rng(84))
@@ -340,8 +342,11 @@ def bad_codec_calls():
     # A scale must be a float32 value, finite and >= 0, whose top level (2^q - 1)/2 * scale rounds to a
     # finite float32: numpy would warn of overflow at 1e308, and compose at the levels past the float32 range.
     rule = "scale must be finite and >= 0, a float32 value, and give a top level that rounds to a finite float32 at q="
-    for scale in [np.nan, -1.0, np.inf, 1e308, 0.1, "0.5", 1j]:
+    for scale in [np.nan, -1.0, np.inf, 1e308, 0.1]:
         yield row(pc.dequantize, f"at scale {scale!r}", qmat(scale=scale), ValueError, f"{rule}12, got ")
+    for scale in ["0.5", 1j, True, np.True_, None]:
+        yield row(pc.dequantize, f"at scale {scale!r}", qmat(scale=scale), TypeError,
+                  f"scale must be a real number, got {scale!r}$")
     for q, scale in [(4, float(np.float32(3e38))), (4, np.float32(3e38)), (2, F32_MAX)]:
         codes = np.tile([0, 2 ** q - 1], 77)  # the lowest and the top level
         yield row(pc.dequantize, f"at scale {scale!r}, q {q}", qmat(q, scale, codes, (77, 2)), ValueError, f"{rule}{q}")
